@@ -13,14 +13,12 @@ from .arith import (
     mod_inverse,
     padic_digits,
     periodic_expansion,
-    rational_from_periodic,
     residue,
 )
 from .conjugacy import (
     PhiExactResult,
     conjugacy_permutation,
     digit_reversal_permutation,
-    permutation_order,
     phi_exact,
     phi_inverse_truncated,
     phi_truncated,
@@ -53,6 +51,7 @@ from .graphs import (
 from .maps import (
     PRESETS,
     BranchMap,
+    ScaledOrbit,
     an_plus_b_map,
     collatz_map,
     map_from_json,
@@ -89,6 +88,7 @@ __all__ = [
     "Permutation",
     "PhiExactResult",
     "RationalCycle",
+    "ScaledOrbit",
     "ResourceLimitError",
     "Word",
     "adjacency_matrix",
@@ -123,11 +123,9 @@ __all__ = [
     "original_collatz_map",
     "padic_digits",
     "periodic_expansion",
-    "permutation_order",
     "phi_exact",
     "phi_inverse_truncated",
     "phi_truncated",
-    "rational_from_periodic",
     "residue",
     "restricted_graph",
     "shift_map",

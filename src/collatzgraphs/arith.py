@@ -2,9 +2,9 @@
 
 Everything in this package is exact integer or rational arithmetic; no floats
 anywhere. Rationals are plain ``fractions.Fraction`` values (already reduced,
-with positive denominators), re-exported here as ``Rational``. A rational a/q
-with gcd(q, p) = 1 embeds into the p-adic integers, so it has a well defined
-residue mod p and an eventually periodic base-p digit expansion.
+with positive denominators). A rational a/q with gcd(q, p) = 1 embeds into the
+p-adic integers, so it has a well defined residue mod p and an eventually
+periodic base-p digit expansion.
 
 Digit order convention, used throughout: digit i is the coefficient of p**i,
 so the leftmost digit of a rendered word is the least significant one. In
@@ -14,8 +14,6 @@ base 2 the word "10110" denotes 1 + 4 + 8 = 13.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-Rational = Fraction
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -55,7 +53,7 @@ class Word:
         object.__setattr__(self, "digits", tuple(self.digits))
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
-        if any(not 0 <= d < self.base for d in self.digits):
+        if self.digits and (min(self.digits) < 0 or max(self.digits) >= self.base):
             raise ValueError(f"digits out of range for base {self.base}: {self.digits}")
 
     def __len__(self) -> int:
@@ -125,7 +123,8 @@ class PeriodicDigits:
         per = tuple(self.period)
         if not per:
             raise ValueError("period must be non-empty")
-        if any(not 0 <= d < self.base for d in pre + per):
+        digits = pre + per
+        if min(digits) < 0 or max(digits) >= self.base:
             raise ValueError(f"digits out of range for base {self.base}")
         n = len(per)
         for span in range(1, n + 1):
@@ -187,27 +186,19 @@ def padic_digits(r: int | Fraction, p: int, n: int) -> Word:
 def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
     """The full (eventually periodic) base-p expansion of a rational.
 
-    Digit extraction r -> (r - d)/p keeps the denominator fixed and drives the
-    numerator into a bounded range, so the state must repeat; the digits
-    emitted between the two visits form the period.
+    The digits are the orbit residues of r under the base-p shift map
+    x -> (x - d) / p, d = x mod p (branches (1, -d)), iterated on the
+    numerator n of r = n/q by BranchMap.scaled_orbit. That map drives n into
+    [-q, 0] within |n|.bit_length() + 1 steps and keeps it there, so the
+    orbit repeats within |n|.bit_length() + q + 2 steps; the digits emitted
+    between the two visits form the period.
     """
+    from .maps import BranchMap  # maps builds on this module
+
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     r = Fraction(r)
-    if gcd(r.denominator, p) != 1:
-        raise ValueError(f"denominator of {r} is not coprime to {p}")
-    seen: dict[Fraction, int] = {}
-    digits: list[int] = []
-    state = r
-    while state not in seen:
-        seen[state] = len(digits)
-        d = residue(state, p)
-        digits.append(d)
-        state = (state - d) / p
-    start = seen[state]
-    return PeriodicDigits(p, tuple(digits[:start]), tuple(digits[start:]))
-
-
-def rational_from_periodic(stream: PeriodicDigits) -> Fraction:
-    """The exact rational denoted by an eventually periodic digit stream."""
-    return stream.to_rational()
+    shift = BranchMap(p, tuple((1, -d) for d in range(p)))
+    orbit = shift.scaled_orbit(r, abs(r.numerator).bit_length() + r.denominator + 2)
+    start = orbit.start
+    return PeriodicDigits(p, tuple(orbit.digits[:start]), tuple(orbit.digits[start:]))

@@ -10,7 +10,6 @@ periodic precisely when the orbit falls into a cycle.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import PeriodicDigits, Word
 from .graphs import (
@@ -43,10 +42,6 @@ def verify_conjugacy(f: BranchMap, k: int) -> bool:
     c = modular_graph(f, f.p**k)
     b = debruijn_graph(f.p, k)
     return check_isomorphism(c, b, conjugacy_permutation(f, k))
-
-
-def permutation_order(phi: Permutation) -> int:
-    return phi.order()
 
 
 def digit_reversal_permutation(p: int, k: int) -> Permutation:
@@ -135,25 +130,15 @@ class PhiExactResult:
 def phi_exact(f: BranchMap, r: int | Fraction, max_steps: int = 10000) -> PhiExactResult | None:
     """Exact digit-map value of a rational with denominator coprime to p.
 
-    Iterates f and records orbit residues until a state repeats; the residue
-    stream is then eventually periodic, and its p-adic value is returned
-    exactly. Returns None (undetermined) when no state repeats within
-    max_steps; never an approximation.
+    Records the orbit residues of r = n/q, iterated as the integer orbit of
+    n under f_q (see BranchMap.scaled_orbit), until a state repeats; the
+    residue stream is then eventually periodic, and its p-adic value is
+    returned exactly. Returns None (undetermined) when the preperiod plus the
+    cycle length exceeds max_steps; never an approximation.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    state = Fraction(r)
-    if gcd(state.denominator, f.p) != 1:
-        raise ValueError(f"denominator of {state} is not coprime to {f.p}")
-    seen: dict[Fraction, int] = {}
-    digits: list[int] = []
-    while True:
-        if state in seen:
-            start = seen[state]
-            stream = PeriodicDigits(f.p, tuple(digits[:start]), tuple(digits[start:]))
-            return PhiExactResult(stream, stream.to_rational(), len(digits))
-        if len(digits) >= max_steps:
-            return None
-        seen[state] = len(digits)
-        digits.append(f.residue(state))
-        state = f.apply(state)
+    orbit = f.scaled_orbit(r, max_steps)
+    if orbit is None:
+        return None
+    digits = orbit.digits
+    stream = PeriodicDigits(f.p, tuple(digits[: orbit.start]), tuple(digits[orbit.start :]))
+    return PhiExactResult(stream, stream.to_rational(), len(digits))

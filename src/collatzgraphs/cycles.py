@@ -80,18 +80,18 @@ def _orbit(f: BranchMap, x: Fraction, k: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _as_rational_cycle(f: BranchMap, elements: tuple[Fraction, ...], word: Word) -> RationalCycle:
+def _as_rational_cycle(elements: tuple[Fraction, ...], word: Word) -> RationalCycle:
     denominators = {e.denominator for e in elements}
     if len(denominators) != 1:
         raise RuntimeError(f"cycle elements do not share a denominator: {elements}")
-    b = denominators.pop()
-    return RationalCycle(word, elements, b, tuple((e * b).numerator for e in elements))
+    # every element is (its numerator) / b, so b * elements are the numerators
+    return RationalCycle(word, elements, denominators.pop(), tuple(e.numerator for e in elements))
 
 
 def word_cycle(f: BranchMap, w: Word) -> RationalCycle:
     """Full cycle record of w under f: the anchor solution and its orbit."""
     x = cycle_from_word(f, w)
-    return _as_rational_cycle(f, _orbit(f, x, len(w)), w)
+    return _as_rational_cycle(_orbit(f, x, len(w)), w)
 
 
 def collatz_cycle(w: Word) -> RationalCycle:
@@ -154,26 +154,19 @@ def classify_orbit(
 ) -> ClassifiedOrbit | None:
     """Iterate r under f until a state repeats, then report the cycle reached.
 
-    Returns None (undetermined) when no state repeats within max_steps.
-    Divergence can never be certified by iteration, only cycling can.
+    r = n/q is iterated as the integer orbit of n under f_q (see
+    BranchMap.scaled_orbit); since q > 0 the least rational element of the
+    cycle is its least integer state. Returns None (undetermined) when the
+    preperiod plus the cycle length exceeds max_steps. Divergence can never
+    be certified by iteration, only cycling can.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    state = Fraction(r)
-    if gcd(state.denominator, f.p) != 1:
-        raise ValueError(f"denominator of {state} is not coprime to {f.p}")
-    seen: dict[Fraction, int] = {}
-    orbit: list[Fraction] = []
-    while True:
-        if state in seen:
-            start = seen[state]
-            looped = orbit[start:]
-            shift = looped.index(min(looped))
-            elements = tuple(looped[shift:] + looped[:shift])
-            word = f.digit_sequence(elements[0], len(elements))
-            return ClassifiedOrbit(_as_rational_cycle(f, elements, word), start + shift)
-        if len(orbit) >= max_steps:
-            return None
-        seen[state] = len(orbit)
-        orbit.append(state)
-        state = f.apply(state)
+    orbit = f.scaled_orbit(r, max_steps)
+    if orbit is None:
+        return None
+    start = orbit.start
+    looped = orbit.states[start:]
+    shift = looped.index(min(looped))
+    elements = tuple(Fraction(n, orbit.q) for n in looped[shift:] + looped[:shift])
+    cycle_digits = orbit.digits[start:]
+    word = Word(f.p, tuple(cycle_digits[shift:] + cycle_digits[:shift]))
+    return ClassifiedOrbit(_as_rational_cycle(elements, word), start + shift)

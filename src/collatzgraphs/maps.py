@@ -10,14 +10,33 @@ conditions make a coefficient table admissible:
 
 Maps evaluate on integers, on rationals with denominator coprime to p, and on
 truncated residues (digit words).
+
+A rational orbit is an integer orbit in disguise: for r = n/q with gcd(q, p) = 1,
+f(n/q) = f_q(n)/q where f_q sends n to (a_i * n + b_i * q) / p on the branch
+i = n * q**-1 mod p. BranchMap.scaled_orbit iterates that integer map.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import Word, residue
+
+
+class ScaledOrbit(NamedTuple):
+    """The orbit of r = n/q up to its first repeated state, scaled by q.
+
+    states[i] / q is the i-th iterate of r and digits[i] its residue mod p.
+    The states are pairwise distinct, and the iterate after the last one is
+    states[start]: states[start:] is the cycle.
+    """
+
+    q: int
+    states: list[int]
+    digits: list[int]
+    start: int
 
 
 @dataclass(frozen=True)
@@ -74,6 +93,40 @@ class BranchMap:
             digits.append(self.residue(cur))
             cur = self.apply(cur)
         return Word(self.p, tuple(digits))
+
+    def scaled_orbit(self, r: int | Fraction, max_steps: int) -> ScaledOrbit | None:
+        """Iterate r = n/q through its integer numerator until a state repeats.
+
+        A repeat found after mu + lam map steps (preperiod mu, cycle length
+        lam) needs max_steps >= mu + lam; with a smaller budget the result is
+        None (undetermined). Raises ValueError unless gcd(q, p) = 1.
+        """
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
+        if isinstance(r, int):
+            n, q = r, 1
+        else:
+            r = Fraction(r)
+            n, q = r.numerator, r.denominator
+            if gcd(q, self.p) != 1:
+                raise ValueError(f"denominator of {r} is not coprime to {self.p}")
+        p = self.p
+        q_inv = pow(q, -1, p)
+        steps = [(a, b * q) for a, b in self.branches]
+        seen: dict[int, int] = {}
+        digits: list[int] = []
+        append = digits.append
+        taken = 0
+        while n not in seen:
+            if taken >= max_steps:
+                return None
+            i = n * q_inv % p
+            seen[n] = taken
+            taken += 1
+            append(i)
+            a, bq = steps[i]
+            n = (a * n + bq) // p
+        return ScaledOrbit(q, list(seen), digits, seen[n])
 
 
 def collatz_map() -> BranchMap:

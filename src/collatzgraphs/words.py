@@ -4,7 +4,21 @@ from .arith import Word
 
 
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of n in ascending order, from a trial-division
+    factorization: O(sqrt(n)) divisions instead of n."""
+    divisors = [1]
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            power, count = 1, len(divisors)
+            while n % d == 0:
+                n //= d
+                power *= d
+                divisors += [x * power for x in divisors[:count]]
+        d += 1
+    if n > 1:
+        divisors += [x * n for x in divisors]
+    return sorted(divisors)
 
 
 def mobius(n: int) -> int:
@@ -31,7 +45,8 @@ def necklace_count(p: int, k: int) -> int:
     p letters: (1/k) * sum over d | k of mobius(d) * p**(k/d)."""
     if p < 2 or k < 1:
         raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
-    total = sum(mobius(d) * p ** (k // d) for d in _divisors(k))
+    # only squarefree d contribute; skipping the rest skips their huge powers
+    total = sum(mu * p ** (k // d) for d in _divisors(k) if (mu := mobius(d)))
     return total // k
 
 

@@ -190,6 +190,15 @@ def test_count_necklaces(capsys):
     assert (code, out) == (0, "9\n")
 
 
+def test_count_necklaces_huge_k_fails_fast(capsys):
+    # the count has about 3e7 decimal digits, past Python's int-to-str limit;
+    # the divisor scan must not take O(k) steps to get there
+    code, out, err = run(capsys, "count", "necklaces", "--p", "2", "--k", "100000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_words_lyndon(capsys):
     code, out, _ = run(capsys, "words", "lyndon", "--p", "2", "--k", "4", "--mode", "dividing")
     assert code == 0

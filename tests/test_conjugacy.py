@@ -15,7 +15,6 @@ from collatzgraphs import (
     digit_reversal_permutation,
     original_collatz_map,
     periodic_expansion,
-    permutation_order,
     phi_exact,
     phi_inverse_truncated,
     phi_truncated,
@@ -59,7 +58,7 @@ def test_original_map_permutation_is_order_six():
     phi = conjugacy_permutation(original_collatz_map(), 2)
     assert list(phi.images) == [0, 4, 2, 6, 7, 5, 3, 1, 8]
     assert phi.cycles() == [(1, 4, 7), (3, 6)]
-    assert permutation_order(phi) == 6
+    assert phi.order() == 6
 
 
 def test_digit_reversal_composite_of_original_map():
@@ -67,7 +66,7 @@ def test_digit_reversal_composite_of_original_map():
     phi = conjugacy_permutation(original_collatz_map(), 2)
     composite = digit_reversal_permutation(3, 2).compose(phi)
     assert composite.cycles() == [(1, 4, 5, 7, 3, 2, 6)]
-    assert permutation_order(composite) == 7
+    assert composite.order() == 7
 
 
 def test_shift_map_conjugacy_is_identity():

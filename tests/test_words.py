@@ -15,6 +15,7 @@ from collatzgraphs import (
     mobius,
     necklace_count,
 )
+from collatzgraphs.words import _divisors
 
 
 def brute_lyndon(p, k):
@@ -40,6 +41,11 @@ def test_mobius_values():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     with pytest.raises(ValueError):
         mobius(0)
+
+
+def test_divisors_match_plain_loop():
+    for k in range(1, 501):
+        assert _divisors(k) == [d for d in range(1, k + 1) if k % d == 0], k
 
 
 def test_necklace_count_binary():
