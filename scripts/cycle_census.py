@@ -14,16 +14,7 @@ import json
 import sys
 from collections import defaultdict
 
-from collatzgraphs import collatz_cycle, lyndon_words
-
-
-def census(max_len):
-    by_denominator = defaultdict(list)
-    for k in range(1, max_len + 1):
-        for w in lyndon_words(2, k):
-            cycle = collatz_cycle(w)
-            by_denominator[cycle.b].append(cycle)
-    return by_denominator
+from collatzgraphs import collatz_cycles
 
 
 def main() -> int:
@@ -35,7 +26,9 @@ def main() -> int:
     if args.max_len < 1:
         parser.error("--max-len must be at least 1")
 
-    by_denominator = census(args.max_len)
+    by_denominator = defaultdict(list)
+    for cycle in collatz_cycles(args.max_len):
+        by_denominator[cycle.b].append(cycle)
     denominators = sorted(by_denominator)
     if args.b is not None:
         denominators = [b for b in denominators if b == args.b]

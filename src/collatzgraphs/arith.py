@@ -164,9 +164,9 @@ class PeriodicDigits:
 def padic_digits(r: int | Fraction, p: int, n: int) -> Word:
     """First n base-p digits of the rational r.
 
-    Repeated digit extraction: d = r mod p (through the inverse of the
-    denominator), then r <- (r - d) / p. The result is the unique length-n
-    word congruent to r mod p**n. The denominator of r must be coprime to p.
+    The result is the unique length-n word congruent to r mod p**n: the
+    residue of r mod p**n (through the inverse of the denominator), written
+    in base p. The denominator of r must be coprime to p.
     """
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
@@ -175,12 +175,7 @@ def padic_digits(r: int | Fraction, p: int, n: int) -> Word:
     r = Fraction(r)
     if gcd(r.denominator, p) != 1:
         raise ValueError(f"denominator of {r} is not coprime to {p}")
-    digits = []
-    for _ in range(n):
-        d = residue(r, p)
-        digits.append(d)
-        r = (r - d) / p
-    return Word(p, tuple(digits))
+    return Word.from_int(residue(r, p**n), p, n)
 
 
 def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
@@ -191,14 +186,27 @@ def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
     numerator n of r = n/q by BranchMap.scaled_orbit. That map drives n into
     [-q, 0] within |n|.bit_length() + 1 steps and keeps it there, so the
     orbit repeats within |n|.bit_length() + q + 2 steps; the digits emitted
-    between the two visits form the period.
+    between the two visits form the period. The orbit keeps one state per
+    step, so that bound is checked against the vertex budget first, and
+    ResourceLimitError is raised when it exceeds it.
     """
-    from .maps import BranchMap  # maps builds on this module
+    # maps and graphs build on this module
+    from .graphs import VERTEX_LIMIT_ENV, ResourceLimitError, vertex_limit
+    from .maps import BranchMap
 
     if p < 2:
         raise ValueError(f"base must be at least 2, got {p}")
     r = Fraction(r)
+    if gcd(r.denominator, p) != 1:
+        raise ValueError(f"denominator of {r} is not coprime to {p}")
+    bound = abs(r.numerator).bit_length() + r.denominator + 2
+    limit = vertex_limit()
+    if bound > limit:
+        raise ResourceLimitError(
+            f"expanding {r} in base {p} may take {bound} orbit states, over the budget"
+            f" of {limit} (set {VERTEX_LIMIT_ENV} to raise it)"
+        )
     shift = BranchMap(p, tuple((1, -d) for d in range(p)))
-    orbit = shift.scaled_orbit(r, abs(r.numerator).bit_length() + r.denominator + 2)
+    orbit = shift.scaled_orbit(r, bound)
     start = orbit.start
     return PeriodicDigits(p, tuple(orbit.digits[:start]), tuple(orbit.digits[start:]))

@@ -61,21 +61,14 @@ def digit_reversal_permutation(p: int, k: int) -> Permutation:
 def phi_truncated(f: BranchMap, w: Word) -> Word:
     """The digit map applied to a truncated residue.
 
-    Digit i of the result is the leading digit of the i-th truncated iterate
-    of w, so the value equals conjugacy_permutation(f, len(w)) applied to
-    w.value(). Truncation is harmless: digit i only depends on the input mod
-    p**(i+1).
+    Digit i of the result is the residue mod p of the i-th iterate of
+    w.value(), so the value equals conjugacy_permutation(f, len(w)) applied
+    to w.value(). Digit i only depends on the input mod p**(i+1), so the
+    result is the same for every integer in the residue class w stands for.
     """
     if w.base != f.p:
         raise ValueError(f"word base {w.base} does not match p={f.p}")
-    digits = []
-    cur = w
-    while len(cur) > 0:
-        digits.append(cur[0])
-        if len(cur) == 1:
-            break
-        cur = f.apply_word(cur)
-    return Word(f.p, tuple(digits))
+    return f.digit_sequence(w.value(), len(w))
 
 
 def phi_inverse_truncated(f: BranchMap, target: Word) -> Word:

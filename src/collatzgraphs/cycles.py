@@ -11,12 +11,13 @@ T_b(n) = (3n+b)/2 on odds and n/2 on evens. The denominators that occur are
 exactly the odd divisors of 2**k - 3**h coprime to 3.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .arith import Word
-from .maps import BranchMap, an_plus_b_map, collatz_map
+from .maps import BranchMap, ScaledOrbit, an_plus_b_map, collatz_map
 from .words import is_primitive, lyndon_words
 
 
@@ -45,13 +46,15 @@ class RationalCycle:
         }
 
 
-def cycle_from_word(f: BranchMap, w: Word) -> Fraction:
-    """The unique rational whose f-orbit traverses the digit word w cyclically.
+def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
+    """The scaled integer orbit of the rational whose f-orbit traverses w.
 
-    Degenerate only when the multiplier product A equals p**k, which
-    admissible maps (multipliers coprime to p) never achieve for k >= 1.
-    The admissibility conditions also force the solution to actually take
-    branch w_i at step i; a mismatch is an internal error, not bad input.
+    Composing the branches of w gives x = B / (p**k - A), which is degenerate
+    only when A equals p**k; admissible maps (multipliers coprime to p) never
+    achieve that for k >= 1. The admissibility conditions also force x to
+    actually take branch w_i at step i and to return after k steps, so its
+    orbit is a pure cycle spelling w (repeated, when w is a power of a shorter
+    word); a mismatch is an internal error, not bad input.
     """
     if w.base != f.p:
         raise ValueError(f"word base {w.base} does not match p={f.p}")
@@ -67,20 +70,21 @@ def cycle_from_word(f: BranchMap, w: Word) -> Fraction:
     if a_total == power:
         raise ValueError(f"word {w} is degenerate: multiplier product equals {power}")
     x = Fraction(b_total, power - a_total)
-    if f.digit_sequence(x, k) != w:
+    orbit = f.scaled_orbit(x, k)
+    if orbit is None or orbit.start != 0 or orbit.digits * (k // len(orbit.digits)) != list(w):
         raise RuntimeError(f"cycle solution {x} does not traverse {w}")
-    return x
+    return orbit
 
 
-def _orbit(f: BranchMap, x: Fraction, k: int) -> tuple[Fraction, ...]:
-    out = []
-    for _ in range(k):
-        out.append(x)
-        x = f.apply(x)
-    return tuple(out)
+def cycle_from_word(f: BranchMap, w: Word) -> Fraction:
+    """The unique rational whose f-orbit traverses the digit word w cyclically."""
+    orbit = _word_orbit(f, w)
+    return Fraction(orbit.states[0], orbit.q)
 
 
-def _as_rational_cycle(elements: tuple[Fraction, ...], word: Word) -> RationalCycle:
+def _rational_cycle(states: list[int], q: int, word: Word) -> RationalCycle:
+    """The cycle record of the rationals n/q, n in states, labeled by word."""
+    elements = tuple(Fraction(n, q) for n in states)
     denominators = {e.denominator for e in elements}
     if len(denominators) != 1:
         raise RuntimeError(f"cycle elements do not share a denominator: {elements}")
@@ -89,9 +93,10 @@ def _as_rational_cycle(elements: tuple[Fraction, ...], word: Word) -> RationalCy
 
 
 def word_cycle(f: BranchMap, w: Word) -> RationalCycle:
-    """Full cycle record of w under f: the anchor solution and its orbit."""
-    x = cycle_from_word(f, w)
-    return _as_rational_cycle(_orbit(f, x, len(w)), w)
+    """Full cycle record of w under f: the anchor solution and its orbit,
+    len(w) elements long even when w repeats a shorter word."""
+    orbit = _word_orbit(f, w)
+    return _rational_cycle(orbit.states * (len(w) // len(orbit.states)), orbit.q, w)
 
 
 def collatz_cycle(w: Word) -> RationalCycle:
@@ -108,17 +113,20 @@ def collatz_cycle(w: Word) -> RationalCycle:
     if not is_primitive(w):
         raise ValueError(f"{w} is a repeated shorter word")
     cycle = word_cycle(collatz_map(), w)
-    if gcd(cycle.b, 6) not in (1, 5):
+    if gcd(cycle.b, 6) != 1:
         raise RuntimeError(f"denominator {cycle.b} is not coprime to 6")
-    scaled = an_plus_b_map(3, cycle.b)
-    n = cycle.integer_cycle[0]
-    for expected in cycle.integer_cycle[1:]:
-        n = scaled.apply(n)
-        if n != expected:
-            raise RuntimeError(f"scaled cycle of {w} is not a 3n+{cycle.b} orbit")
-    if scaled.apply(n) != cycle.integer_cycle[0]:
-        raise RuntimeError(f"scaled cycle of {w} does not close up")
+    scaled = an_plus_b_map(3, cycle.b).scaled_orbit(cycle.integer_cycle[0], len(w))
+    if scaled is None or scaled.start != 0 or tuple(scaled.states) != cycle.integer_cycle:
+        raise RuntimeError(f"scaled cycle of {w} is not a closed 3n+{cycle.b} orbit")
     return cycle
+
+
+def collatz_cycles(max_len: int) -> Iterator[RationalCycle]:
+    """The 3n+1 cycle of every binary Lyndon word of length <= max_len, one
+    at a time, in (length, lex) word order."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    return (collatz_cycle(w) for k in range(1, max_len + 1) for w in lyndon_words(2, k))
 
 
 def cycles_with_denominator(b: int, max_len: int) -> list[RationalCycle]:
@@ -126,15 +134,7 @@ def cycles_with_denominator(b: int, max_len: int) -> list[RationalCycle]:
     Lyndon words of length <= max_len, in (length, lex) word order."""
     if b < 1 or b % 2 == 0 or b % 3 == 0:
         raise ValueError(f"b must be positive, odd and coprime to 3, got {b}")
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    out = []
-    for k in range(1, max_len + 1):
-        for w in lyndon_words(2, k, mode="exact"):
-            cycle = collatz_cycle(w)
-            if cycle.b == b:
-                out.append(cycle)
-    return out
+    return [cycle for cycle in collatz_cycles(max_len) if cycle.b == b]
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,8 @@ def classify_orbit(
     start = orbit.start
     looped = orbit.states[start:]
     shift = looped.index(min(looped))
-    elements = tuple(Fraction(n, orbit.q) for n in looped[shift:] + looped[:shift])
     cycle_digits = orbit.digits[start:]
     word = Word(f.p, tuple(cycle_digits[shift:] + cycle_digits[:shift]))
-    return ClassifiedOrbit(_as_rational_cycle(elements, word), start + shift)
+    return ClassifiedOrbit(
+        _rational_cycle(looped[shift:] + looped[:shift], orbit.q, word), start + shift
+    )

@@ -11,6 +11,7 @@ from collatzgraphs import (
     an_plus_b_map,
     classify_orbit,
     collatz_cycle,
+    collatz_cycles,
     collatz_map,
     cycle_from_word,
     cycles_with_denominator,
@@ -133,7 +134,7 @@ def test_denominator_divides_word_discriminant():
             cycle = collatz_cycle(w)
             h = sum(w.digits)
             assert (2**k - 3**h) % cycle.b == 0
-            assert gcd(cycle.b, 6) in (1, 5)
+            assert gcd(cycle.b, 6) == 1
 
 
 def test_distinct_words_give_distinct_cycles():
@@ -143,6 +144,15 @@ def test_distinct_words_give_distinct_cycles():
             key = collatz_cycle(w).element_set()
             assert key not in seen, f"{w} collides with {seen[key]}"
             seen[key] = w
+
+
+def test_collatz_cycles_is_the_lyndon_word_census():
+    words = [w for k in range(1, 9) for w in lyndon_words(2, k)]
+    assert list(collatz_cycles(8)) == [collatz_cycle(w) for w in words]
+    # lazy: the first cycle comes before any long word is enumerated
+    assert next(collatz_cycles(200)) == collatz_cycle(Word.from_str("0", 2))
+    with pytest.raises(ValueError):
+        collatz_cycles(0)
 
 
 def test_cycles_with_denominator_one():

@@ -1,12 +1,16 @@
-"""The scaled-integer orbit kernel against the Fraction loops it replaced.
+"""The integer orbit and digit code against the Fraction loops it replaced.
 
-classify_orbit, phi_exact and periodic_expansion all run on
-BranchMap.scaled_orbit. The oracles below are the plain definitions they used
-before: step the Fraction itself with f.apply and stop at the first repeated
-state. Results must agree exactly, undetermined (None) included, at the
-budgets around the point where the repeat is found.
+classify_orbit, phi_exact, periodic_expansion and the cycle-word functions
+(cycle_from_word, word_cycle) all run on BranchMap.scaled_orbit. The oracles
+below are the plain definitions they used before: step the Fraction itself
+with f.apply and stop at the first repeated state, or after len(w) steps for
+a cycle word. Results must agree exactly, undetermined (None) included, at
+the budgets around the point where the repeat is found. padic_digits and
+phi_truncated read their digits off one residue instead of stepping; their
+oracles are the digit-by-digit loops.
 """
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -19,15 +23,22 @@ from collatzgraphs import (
     PeriodicDigits,
     PhiExactResult,
     RationalCycle,
+    ResourceLimitError,
     Word,
     an_plus_b_map,
     classify_orbit,
     collatz_map,
+    cycle_from_word,
+    original_collatz_map,
+    padic_digits,
     periodic_expansion,
     phi_exact,
+    phi_truncated,
+    residue,
+    word_cycle,
 )
 
-from conftest import branch_maps
+from conftest import branch_maps, digit_words
 
 BUDGET = 10000
 
@@ -202,3 +213,108 @@ def test_budget_is_preperiod_plus_cycle_length():
     assert classify_orbit(t, 3, 6).cycle.word == Word(2, (1, 0))
     with pytest.raises(ValueError):
         t.scaled_orbit(3, -1)
+
+
+def test_periodic_expansion_budget_is_the_step_bound(monkeypatch):
+    # the orbit of n/q repeats within |n|.bit_length() + q + 2 steps, one
+    # stored state per step; a period of up to ord_q(2) ~ 7**20 digits would
+    # otherwise run for as long as the period
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="orbit states.*COLLATZGRAPHS_VERTEX_LIMIT"):
+        periodic_expansion(Fraction(10**25, 7**20), 2)
+    assert time.perf_counter() - start < 1
+    # a denominator sharing p is bad input whatever its size
+    with pytest.raises(ValueError, match="not coprime"):
+        periodic_expansion(Fraction(1, 2**30), 2)
+    r = Fraction(13, 7)
+    bound = r.numerator.bit_length() + r.denominator + 2
+    monkeypatch.setenv("COLLATZGRAPHS_VERTEX_LIMIT", str(bound))
+    assert periodic_expansion(r, 2) == oracle_periodic_expansion(r, 2)
+    monkeypatch.setenv("COLLATZGRAPHS_VERTEX_LIMIT", str(bound - 1))
+    with pytest.raises(ResourceLimitError, match=f"{bound} orbit states"):
+        periodic_expansion(r, 2)
+
+
+def oracle_padic_digits(r, p, n):
+    r = Fraction(r)
+    digits = []
+    for _ in range(n):
+        d = residue(r, p)
+        digits.append(d)
+        r = (r - d) / p
+    return Word(p, tuple(digits))
+
+
+@given(
+    st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), seeds(p))),
+    st.integers(min_value=0, max_value=40),
+)
+def test_padic_digits_match_digit_extraction(case, n):
+    p, r = case
+    assert padic_digits(r, p, n) == oracle_padic_digits(r, p, n)
+
+
+def oracle_phi_truncated(f, w):
+    digits = []
+    cur = w
+    while len(cur) > 0:
+        digits.append(cur[0])
+        if len(cur) == 1:
+            break
+        cur = f.apply_word(cur)
+    return Word(f.p, tuple(digits))
+
+
+@settings(max_examples=150)
+@given(branch_maps(), st.data())
+def test_phi_truncated_matches_truncated_walk(f, data):
+    w = data.draw(digit_words(base=f.p, max_len=12))
+    assert phi_truncated(f, w) == oracle_phi_truncated(f, w)
+
+
+def oracle_cycle_from_word(f, w):
+    k = len(w)
+    a_total, b_total, power = 1, 0, 1
+    for d in w:
+        a, b = f.branches[d]
+        a_total, b_total = a * a_total, a * b_total + b * power
+        power *= f.p
+    x = Fraction(b_total, power - a_total)
+    if f.digit_sequence(x, k) != w:
+        raise RuntimeError(f"cycle solution {x} does not traverse {w}")
+    return x
+
+
+def oracle_word_cycle(f, w):
+    anchor = x = oracle_cycle_from_word(f, w)
+    elements = []
+    for _ in range(len(w)):
+        elements.append(x)
+        x = f.apply(x)
+    assert x == anchor  # the orbit closes after len(w) steps
+    (b,) = {e.denominator for e in elements}
+    return RationalCycle(w, tuple(elements), b, tuple(e.numerator for e in elements))
+
+
+@st.composite
+def cycle_words(draw, p):
+    """Non-empty words over p letters, primitive or a power of a shorter word."""
+    root = draw(digit_words(base=p, min_len=1, max_len=5))
+    return Word(p, root.digits * draw(st.integers(min_value=1, max_value=3)))
+
+
+@settings(max_examples=150)
+@given(branch_maps(), st.data())
+def test_cycle_words_match_fraction_walk(f, data):
+    w = data.draw(cycle_words(f.p))
+    expected = oracle_word_cycle(f, w)
+    assert cycle_from_word(f, w) == expected.elements[0]
+    assert word_cycle(f, w) == expected
+
+
+def test_imprimitive_cycle_word_keeps_its_length():
+    for f, text in ((collatz_map(), "1010"), (original_collatz_map(), "12011201")):
+        w = Word.from_str(text, f.p)
+        cycle = word_cycle(f, w)
+        assert len(cycle.elements) == len(w)
+        assert cycle == oracle_word_cycle(f, w)
