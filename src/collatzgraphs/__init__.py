@@ -37,7 +37,6 @@ from .cycles import (
 from .graphs import (
     Digraph,
     Permutation,
-    ResourceLimitError,
     check_isomorphism,
     debruijn_graph,
     graph_from_json,
@@ -47,8 +46,8 @@ from .graphs import (
     modular_graph,
     restricted_graph,
     transpose,
-    vertex_limit,
 )
+from .limits import ResourceLimitError, size_limit
 from .maps import (
     PRESETS,
     BranchMap,
@@ -64,7 +63,6 @@ from .maps import (
 from .spectral import (
     adjacency_matrix,
     check_uniform_power,
-    matrix_limit,
     matrix_power,
     uniform_power_violation,
 )
@@ -116,7 +114,6 @@ __all__ = [
     "lyndon_words",
     "map_from_json",
     "map_to_json",
-    "matrix_limit",
     "matrix_power",
     "mobius",
     "mod_inverse",
@@ -131,10 +128,10 @@ __all__ = [
     "residue",
     "restricted_graph",
     "shift_map",
+    "size_limit",
     "standard_map",
     "transpose",
     "uniform_power_violation",
     "verify_conjugacy",
-    "vertex_limit",
     "word_cycle",
 ]

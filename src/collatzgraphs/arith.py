@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .limits import check_size
+
 
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in {0..m-1}. Raises ValueError unless gcd(a, m) = 1."""
@@ -187,11 +189,9 @@ def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
     [-q, 0] within |n|.bit_length() + 1 steps and keeps it there, so the
     orbit repeats within |n|.bit_length() + q + 2 steps; the digits emitted
     between the two visits form the period. The orbit keeps one state per
-    step, so that bound is checked against the vertex budget first, and
-    ResourceLimitError is raised when it exceeds it.
+    step, so that bound is checked against the size budget first.
     """
-    # maps and graphs build on this module
-    from .graphs import VERTEX_LIMIT_ENV, ResourceLimitError, vertex_limit
+    # maps builds on this module
     from .maps import BranchMap
 
     if p < 2:
@@ -200,12 +200,7 @@ def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
     if gcd(r.denominator, p) != 1:
         raise ValueError(f"denominator of {r} is not coprime to {p}")
     bound = abs(r.numerator).bit_length() + r.denominator + 2
-    limit = vertex_limit()
-    if bound > limit:
-        raise ResourceLimitError(
-            f"expanding {r} in base {p} may take {bound} orbit states, over the budget"
-            f" of {limit} (set {VERTEX_LIMIT_ENV} to raise it)"
-        )
+    check_size("orbit states of a periodic expansion", bound)
     shift = BranchMap(p, tuple((1, -d) for d in range(p)))
     orbit = shift.scaled_orbit(r, bound)
     start = orbit.start

@@ -24,7 +24,6 @@ from .cycles import classify_orbit, cycles_with_denominator, word_cycle
 from .graphs import (
     Digraph,
     Permutation,
-    ResourceLimitError,
     debruijn_graph,
     graph_from_json,
     graph_to_dot,
@@ -33,6 +32,7 @@ from .graphs import (
     modular_graph,
     transpose,
 )
+from .limits import ResourceLimitError
 from .maps import PRESETS, BranchMap, map_from_json, standard_map
 from .spectral import uniform_power_violation
 from .words import fkm_sequence, is_debruijn_sequence, lyndon_words, necklace_count

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import PeriodicDigits, Word
-from .graphs import (
-    Permutation,
-    _check_vertex_budget,
-    check_isomorphism,
-    debruijn_graph,
-    modular_graph,
-)
+from .graphs import Permutation, check_isomorphism, debruijn_graph, modular_graph
+from .limits import check_size
 from .maps import BranchMap
 
 
@@ -31,14 +26,15 @@ def conjugacy_permutation(f: BranchMap, k: int) -> Permutation:
     """
     if k < 1:
         raise ValueError(f"word length must be at least 1, got {k}")
-    size = f.p**k
-    _check_vertex_budget(size)
-    return Permutation(tuple(f.digit_sequence(n, k).value() for n in range(size)))
+    check_size("permutation entries", 1, f.p, k)
+    return Permutation(tuple(f.digit_sequence(n, k).value() for n in range(f.p**k)))
 
 
 def verify_conjugacy(f: BranchMap, k: int) -> bool:
     """Check that the digit map is an isomorphism from the mod-p**k graph of f
     onto the De Bruijn graph of dimension k."""
+    # the modulus p**k itself is refused on its exponent before it is built
+    check_size("modular graph edges", 1, f.p, k + 1)
     c = modular_graph(f, f.p**k)
     b = debruijn_graph(f.p, k)
     return check_isomorphism(c, b, conjugacy_permutation(f, k))
@@ -53,9 +49,8 @@ def digit_reversal_permutation(p: int, k: int) -> Permutation:
     """
     if k < 1:
         raise ValueError(f"word length must be at least 1, got {k}")
-    size = p**k
-    _check_vertex_budget(size)
-    return Permutation(tuple(Word.from_int(n, p, k).reversed().value() for n in range(size)))
+    check_size("permutation entries", 1, p, k)
+    return Permutation(tuple(Word.from_int(n, p, k).reversed().value() for n in range(p**k)))
 
 
 def phi_truncated(f: BranchMap, w: Word) -> Word:
@@ -75,35 +70,28 @@ def phi_inverse_truncated(f: BranchMap, target: Word) -> Word:
     """The unique word w of the same length with phi_truncated(f, w) == target.
 
     Built one digit at a time: digits below j of the image never depend on
-    input digits at or above j, so each new input digit is pinned by matching
-    the next image digit. Exactly one candidate can match per position; zero
-    or several would mean f lost the De Bruijn branching property, which
-    admissible maps cannot, so that is reported as an internal error.
+    input digits at or above j. With y = f^j(v) for the digits v pinned so
+    far and A the product of the multipliers of branches target[:j], adding
+    c * p**j to v moves f^j by exactly c * A, so the next digit solves
+    y + c * A = target[j] (mod p); A is a unit mod p because every
+    multiplier is. One map step per digit; the result is checked against
+    phi_truncated, and a mismatch (f is not admissible) is an internal error.
     """
     if target.base != f.p:
         raise ValueError(f"word base {target.base} does not match p={f.p}")
     p = f.p
     digits: list[int] = []
-    value = 0
-    weight = 1
-    for j in range(len(target)):
-        hit = None
-        for c in range(p):
-            cur: int | Fraction = value + c * weight
-            for _ in range(j):
-                cur = f.apply(cur)
-            if f.residue(cur) == target[j]:
-                if hit is not None:
-                    raise RuntimeError(
-                        f"two digits lift position {j}; map branches are not De Bruijn"
-                    )
-                hit = c
-        if hit is None:
-            raise RuntimeError(f"no digit lifts position {j}; map branches are not De Bruijn")
-        digits.append(hit)
-        value += hit * weight
-        weight *= p
-    return Word(p, tuple(digits))
+    y = 0
+    mult = 1
+    for t in target:
+        c = (t - y) * pow(mult, -1, p) % p
+        digits.append(c)
+        y = f.apply(y + c * mult)
+        mult *= f.branches[t][0]
+    w = Word(p, tuple(digits))
+    if phi_truncated(f, w) != target:
+        raise RuntimeError("preimage does not map onto the target; map branches are not De Bruijn")
+    return w
 
 
 @dataclass(frozen=True)

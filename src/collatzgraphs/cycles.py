@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import Word
+from .limits import check_size
 from .maps import BranchMap, ScaledOrbit, an_plus_b_map, collatz_map
 from .words import is_primitive, lyndon_words
 
@@ -123,9 +124,11 @@ def collatz_cycle(w: Word) -> RationalCycle:
 
 def collatz_cycles(max_len: int) -> Iterator[RationalCycle]:
     """The 3n+1 cycle of every binary Lyndon word of length <= max_len, one
-    at a time, in (length, lex) word order."""
+    at a time, in (length, lex) word order. The 2**max_len digits of the
+    longest words count against the size budget, checked at the call."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+    check_size("cycle word digits", 1, 2, max_len)
     return (collatz_cycle(w) for k in range(1, max_len + 1) for w in lyndon_words(2, k))
 
 

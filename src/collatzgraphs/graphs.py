@@ -5,45 +5,20 @@ of edges (source, target, label). Labels are optional but pairwise distinct
 when present. Multi-edges are distinguished only by label; the projection to
 (source, target) pairs is what isomorphism checks compare.
 
-Builders enforce a vertex budget so a typo cannot ask for a 2**40-vertex
-graph; override it with the COLLATZGRAPHS_VERTEX_LIMIT environment variable.
+Builders count what they will store (edges, or the vertices of a restricted
+graph) against the size budget of limits.py before building anything, so a
+typo cannot ask for a 2**40-edge graph.
 """
 
 import json
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import lcm
 
+from .limits import check_size
 from .maps import BranchMap
 
-DEFAULT_VERTEX_LIMIT = 1 << 26
-VERTEX_LIMIT_ENV = "COLLATZGRAPHS_VERTEX_LIMIT"
-
 Edge = tuple[int, int, int | None]
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested object exceeds the configured size budget."""
-
-
-def vertex_limit() -> int:
-    raw = os.environ.get(VERTEX_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_VERTEX_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{VERTEX_LIMIT_ENV} must be an integer, got {raw!r}") from None
-
-
-def _check_vertex_budget(n: int) -> None:
-    limit = vertex_limit()
-    if n > limit:
-        raise ResourceLimitError(
-            f"{n} vertices exceeds the budget of {limit}"
-            f" (set {VERTEX_LIMIT_ENV} to raise it)"
-        )
 
 
 def _edge_sort_key(edge: Edge):
@@ -188,7 +163,7 @@ def modular_graph(f: BranchMap, m: int) -> Digraph:
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    _check_vertex_budget(m)
+    check_size("modular graph edges", f.p * m)
     edges = set()
     for r in range(f.p * m):
         edges.add((r % m, f.apply(r) % m, r))
@@ -206,8 +181,8 @@ def debruijn_graph(p: int, k: int) -> Digraph:
         raise ValueError(f"alphabet size must be at least 2, got {p}")
     if k < 1:
         raise ValueError(f"dimension must be at least 1, got {k}")
+    check_size("De Bruijn graph edges", 1, p, k + 1)
     m = p**k
-    _check_vertex_budget(m)
     edges = set()
     step = p ** (k - 1)
     for n in range(m):
@@ -226,7 +201,8 @@ def line_graph(g: Digraph) -> Digraph:
     labels = sorted(label for _, _, label in g.edges if label is not None)
     if labels != list(range(len(g.edges))):
         raise ValueError("line graph needs all edges labeled exactly 0..E-1")
-    _check_vertex_budget(len(g.edges))
+    out_degrees = g.out_degrees()
+    check_size("line graph edges", sum(out_degrees[t] for _, t, _ in g.edges))
     outgoing = defaultdict(list)
     for s, _, label in g.edges:
         outgoing[s].append(label)
@@ -260,7 +236,7 @@ def restricted_graph(f: BranchMap, bound: int) -> Digraph:
     """The plain orbit graph n -> f(n) on {0..bound-1}; edges leaving the range are dropped."""
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    _check_vertex_budget(bound)
+    check_size("restricted graph vertices", bound)
     edges = set()
     for v in range(bound):
         t = f.apply(v)

@@ -3,43 +3,19 @@
 For an admissible branch map mod p**k, the number of length-l walks between
 any two vertices is exactly p**(l-k) once l >= k (and the count cannot be
 uniform at l = k-1). All arithmetic is exact integers; matrices are plain
-lists of rows, with dimension capped to keep accidental huge requests out
-(override with COLLATZGRAPHS_MATRIX_LIMIT).
+lists of rows, whose n*n entries count against the size budget of limits.py.
 """
 
-import os
-
-from .graphs import Digraph, ResourceLimitError, modular_graph
+from .graphs import Digraph, modular_graph
+from .limits import check_size
 from .maps import BranchMap
-
-DEFAULT_MATRIX_LIMIT = 4096
-MATRIX_LIMIT_ENV = "COLLATZGRAPHS_MATRIX_LIMIT"
 
 Matrix = list[list[int]]
 
 
-def matrix_limit() -> int:
-    raw = os.environ.get(MATRIX_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_MATRIX_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MATRIX_LIMIT_ENV} must be an integer, got {raw!r}") from None
-
-
-def _check_dimension(dim: int) -> None:
-    limit = matrix_limit()
-    if dim > limit:
-        raise ResourceLimitError(
-            f"matrix dimension {dim} exceeds the budget of {limit}"
-            f" (set {MATRIX_LIMIT_ENV} to raise it)"
-        )
-
-
 def adjacency_matrix(g: Digraph) -> Matrix:
     """0/1 matrix of the distinct (source, target) edges of g."""
-    _check_dimension(g.n)
+    check_size("adjacency matrix entries", g.n * g.n)
     m = [[0] * g.n for _ in range(g.n)]
     for s, t in g.simple_edges():
         m[s][t] = 1
@@ -70,7 +46,7 @@ def matrix_power(m: Matrix, e: int) -> Matrix:
         raise ValueError("matrix must be square")
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
-    _check_dimension(n)
+    check_size("matrix entries", n * n)
     result = [[int(i == j) for j in range(n)] for i in range(n)]
     base = [list(row) for row in m]
     while e:
@@ -92,8 +68,8 @@ def uniform_power_violation(
         raise ValueError(f"k must be at least 1, got {k}")
     if l_max < k:
         raise ValueError(f"l_max must be at least k={k}, got {l_max}")
+    check_size("matrix entries", 1, f.p, 2 * k)
     dim = f.p**k
-    _check_dimension(dim)
     adj = adjacency_matrix(modular_graph(f, dim))
 
     def scan(mat: Matrix, l: int) -> tuple[int, int, int, int] | None:

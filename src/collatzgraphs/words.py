@@ -1,6 +1,7 @@
 """Lyndon words, necklace counting, and FKM De Bruijn sequences."""
 
 from .arith import Word
+from .limits import check_size
 
 
 def _divisors(n: int) -> list[int]:
@@ -88,7 +89,9 @@ def lyndon_words(p: int, k: int, mode: str = "exact") -> list[Word]:
     """Lyndon words over p letters in lexicographic order.
 
     mode "exact" keeps length k only; mode "dividing" keeps lengths dividing
-    k, which is the concatenation order of the FKM construction.
+    k, which is the concatenation order of the FKM construction. Either
+    stores at most p**k digits (exactly p**k when dividing), which is the
+    count checked against the size budget.
     """
     if p < 2 or k < 1:
         raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
@@ -98,6 +101,7 @@ def lyndon_words(p: int, k: int, mode: str = "exact") -> list[Word]:
         keep = lambda n: k % n == 0
     else:
         raise ValueError(f'mode must be "exact" or "dividing", got {mode!r}')
+    check_size("Lyndon word digits", 1, p, k)
     return [Word(p, w) for w in _duval(p, k) if keep(len(w))]
 
 

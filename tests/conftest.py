@@ -1,17 +1,31 @@
-"""Shared strategies and the acceptance-summary report.
+"""Shared strategies, a child-interpreter helper, and the acceptance-summary report.
 
 Acceptance tests are named test_cNN_*; the terminal summary prints one
 PASS/FAIL line per criterion number NN so the whole gate is readable at a
 glance.
 """
 
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from math import gcd
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from collatzgraphs import BranchMap, Word
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*argv):
+    """Run a child interpreter that imports the package from src/, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
 
 _CRITERION = re.compile(r"test_acceptance\.py.*::test_c(\d{2})")
 _results: dict[str, list[int]] = defaultdict(lambda: [0, 0])

@@ -1,13 +1,14 @@
 """The command-line surface: outputs, formats, and exit codes."""
 
 import json
-import subprocess
-import sys
+import time
 
 import pytest
 
 from collatzgraphs import graph_from_json, map_to_json, modular_graph, original_collatz_map
 from collatzgraphs.cli import main
+
+from conftest import run_python
 
 
 def run(capsys, *argv):
@@ -235,19 +236,36 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 
 def test_installed_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "collatzgraphs", "conj", "phi", "--map", "collatz", "--exact", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "collatzgraphs", "conj", "phi", "--map", "collatz", "--exact", "1")
     assert proc.returncode == 0
     assert proc.stdout == "-1/3\n"
 
 
 def test_argparse_usage_exit():
-    proc = subprocess.run(
-        [sys.executable, "-m", "collatzgraphs", "graph", "modular"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "collatzgraphs", "graph", "modular")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "words lyndon --p 2 --k 40",
+        "seq fkm --p 2 --k 40",
+        "cycles for-b --b 5 --max-len 40",
+        "conj perm --k 24",
+        "conj verify --k 24",
+        "conj verify --map collatz-original --k 100000000",
+        "graph modular --m 16777216",
+        "graph debruijn --p 2 --k 100000000",
+        "graph debruijn --p 3 --k 100000000",
+        "conj perm --map collatz-original --k 100000000",
+        "spectral check --k 12 --l-max 13",
+    ],
+)
+def test_oversized_requests_fail_fast_naming_the_budget(argv, capsys, monkeypatch):
+    monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "COLLATZGRAPHS_SIZE_LIMIT" in err

@@ -1,6 +1,7 @@
 """Digit conjugacy: permutations on residues, truncated and exact images."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,47 @@ def test_phi_inverse_round_trip(f, data):
 def test_phi_inverse_known_value():
     t = collatz_map()
     assert phi_inverse_truncated(t, Word.from_str("10010", 2)) == Word.from_str("10110", 2)
+
+
+def oracle_phi_inverse_truncated(f, target):
+    """The candidate search phi_inverse_truncated replaced: each of the p
+    candidates at position j is re-iterated j steps from scratch, and exactly
+    one must match the next image digit."""
+    p = f.p
+    digits = []
+    value = 0
+    weight = 1
+    for j in range(len(target)):
+        hits = []
+        for c in range(p):
+            cur = value + c * weight
+            for _ in range(j):
+                cur = f.apply(cur)
+            if f.residue(cur) == target[j]:
+                hits.append(c)
+        assert len(hits) == 1
+        digits.append(hits[0])
+        value += hits[0] * weight
+        weight *= p
+    return Word(p, tuple(digits))
+
+
+@settings(max_examples=80)
+@given(branch_maps(), st.data())
+def test_phi_inverse_matches_candidate_search(f, data):
+    w = data.draw(digit_words(base=f.p, max_len=24))
+    assert phi_inverse_truncated(f, w) == oracle_phi_inverse_truncated(f, w)
+
+
+def test_phi_inverse_of_a_long_word_is_fast():
+    # one map step per digit; the candidate search took 2.6 s at 1600 digits
+    rng = random.Random(3000)
+    t = collatz_map()
+    w = Word(2, tuple(rng.randrange(2) for _ in range(3000)))
+    start = time.perf_counter()
+    preimage = phi_inverse_truncated(t, w)
+    assert time.perf_counter() - start < 2
+    assert phi_truncated(t, preimage) == w
 
 
 def test_phi_exact_known_values():

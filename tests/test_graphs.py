@@ -19,8 +19,8 @@ from collatzgraphs import (
     line_graph,
     modular_graph,
     restricted_graph,
+    size_limit,
     transpose,
-    vertex_limit,
 )
 
 from conftest import branch_maps
@@ -226,10 +226,14 @@ def test_graph_to_dot_golden():
 
 
 def test_vertex_limit_env_override(monkeypatch):
-    monkeypatch.setenv("COLLATZGRAPHS_VERTEX_LIMIT", "4")
-    assert vertex_limit() == 4
-    with pytest.raises(ResourceLimitError):
+    # one budget for every builder; modular_graph counts its p*m edges
+    monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", "8")
+    assert size_limit() == 8
+    assert len(modular_graph(collatz_map(), 4).edges) == 8
+    with pytest.raises(ResourceLimitError, match="COLLATZGRAPHS_SIZE_LIMIT"):
         modular_graph(collatz_map(), 5)
-    monkeypatch.setenv("COLLATZGRAPHS_VERTEX_LIMIT", "not a number")
+    monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", "not a number")
     with pytest.raises(ValueError):
-        vertex_limit()
+        size_limit()
+    monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT")
+    assert size_limit() == 2**22

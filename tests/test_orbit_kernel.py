@@ -220,7 +220,7 @@ def test_periodic_expansion_budget_is_the_step_bound(monkeypatch):
     # stored state per step; a period of up to ord_q(2) ~ 7**20 digits would
     # otherwise run for as long as the period
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="orbit states.*COLLATZGRAPHS_VERTEX_LIMIT"):
+    with pytest.raises(ResourceLimitError, match="orbit states.*COLLATZGRAPHS_SIZE_LIMIT"):
         periodic_expansion(Fraction(10**25, 7**20), 2)
     assert time.perf_counter() - start < 1
     # a denominator sharing p is bad input whatever its size
@@ -228,10 +228,10 @@ def test_periodic_expansion_budget_is_the_step_bound(monkeypatch):
         periodic_expansion(Fraction(1, 2**30), 2)
     r = Fraction(13, 7)
     bound = r.numerator.bit_length() + r.denominator + 2
-    monkeypatch.setenv("COLLATZGRAPHS_VERTEX_LIMIT", str(bound))
+    monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", str(bound))
     assert periodic_expansion(r, 2) == oracle_periodic_expansion(r, 2)
-    monkeypatch.setenv("COLLATZGRAPHS_VERTEX_LIMIT", str(bound - 1))
-    with pytest.raises(ResourceLimitError, match=f"{bound} orbit states"):
+    monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", str(bound - 1))
+    with pytest.raises(ResourceLimitError, match=f"orbit states.*budget of {bound - 1} items"):
         periodic_expansion(r, 2)
 
 

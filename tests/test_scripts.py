@@ -1,25 +1,14 @@
 """Smoke tests: the scripts run end to end and agree with the library."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 from collatzgraphs import cycles_with_denominator
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, run_python
 
 
 def run_script(name, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return run_python(str(ROOT / "scripts" / name), *argv)
 
 
 def test_cycle_census_text():

@@ -8,10 +8,10 @@ from collatzgraphs import (
     adjacency_matrix,
     check_uniform_power,
     collatz_map,
-    matrix_limit,
     matrix_power,
     modular_graph,
     original_collatz_map,
+    size_limit,
     uniform_power_violation,
 )
 
@@ -83,8 +83,9 @@ def test_uniform_power_validation():
 
 
 def test_matrix_limit_env_override(monkeypatch):
-    monkeypatch.setenv("COLLATZGRAPHS_MATRIX_LIMIT", "8")
-    assert matrix_limit() == 8
-    with pytest.raises(ResourceLimitError):
+    # one budget for every builder; a dense n x n matrix counts n*n entries
+    monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", "64")
+    assert size_limit() == 64
+    with pytest.raises(ResourceLimitError, match="COLLATZGRAPHS_SIZE_LIMIT"):
         uniform_power_violation(collatz_map(), 4, 5)
     assert check_uniform_power(collatz_map(), 3, 4)
