@@ -1,9 +1,13 @@
 """Directed graphs on residues: modular graphs of branch maps, De Bruijn graphs.
 
-Graphs are immutable: a vertex count n (vertices are 0..n-1) and a frozenset
-of edges (source, target, label). Labels are optional but pairwise distinct
-when present. Multi-edges are distinguished only by label; the projection to
-(source, target) pairs is what isomorphism checks compare.
+A graph is a vertex count n (vertices are 0..n-1) and three parallel
+array('q') columns with one entry per edge: sources, targets and labels,
+where the label -1 means "unlabeled". Labels are optional but pairwise
+distinct when present. Multi-edges are distinguished only by label; the
+projection to (source, target) pairs is what isomorphism checks compare.
+The builders below write the columns directly; the Digraph(n, edges)
+constructor, which hand-made and parsed graphs go through, validates its
+(source, target, label) triples. Graphs are never modified once built.
 
 Builders count what they will store (edges, or the vertices of a restricted
 graph) against the size budget of limits.py before building anything, so a
@@ -11,7 +15,9 @@ typo cannot ask for a 2**40-edge graph.
 """
 
 import json
-from collections import Counter, defaultdict
+from array import array
+from collections import Counter
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from math import lcm
 
@@ -19,60 +25,135 @@ from .limits import check_size
 from .maps import BranchMap
 
 Edge = tuple[int, int, int | None]
+NO_LABEL = -1
 
 
-def _edge_sort_key(edge: Edge):
-    s, t, label = edge
-    return (s, t, label is not None, 0 if label is None else label)
+class EdgeView(Set):
+    """A graph's edges as a read-only set of (source, target, label) triples,
+    label None when unlabeled. Derived from the columns: len is O(1),
+    membership a linear scan."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: "Digraph"):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g.sources)
+
+    def __iter__(self):
+        for s, t, label in self._g._triples():
+            yield s, t, None if label == NO_LABEL else label
+
+    def __contains__(self, edge) -> bool:
+        return any(e == edge for e in self)
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """Vertices 0..n-1 with a set of optionally labeled edges."""
+    """Vertices 0..n-1 with optionally labeled edges, stored as columns."""
 
-    n: int
-    edges: frozenset[Edge]
+    __slots__ = ("n", "sources", "targets", "labels")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", frozenset((s, t, label) for s, t, label in self.edges)
-        )
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        edges = frozenset((s, t, label) for s, t, label in edges)
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         labels = []
-        for s, t, label in self.edges:
-            if not (0 <= s < self.n and 0 <= t < self.n):
-                raise ValueError(f"edge ({s}, {t}) leaves the vertex range 0..{self.n - 1}")
+        for s, t, label in edges:
+            if not (0 <= s < n and 0 <= t < n):
+                raise ValueError(f"edge ({s}, {t}) leaves the vertex range 0..{n - 1}")
             if label is not None:
                 if label < 0:
                     raise ValueError(f"negative edge label {label}")
                 labels.append(label)
         if len(labels) != len(set(labels)):
             raise ValueError("edge labels must be pairwise distinct")
+        self.n = n
+        try:
+            self.sources = array("q", [s for s, _, _ in edges])
+            self.targets = array("q", [t for _, t, _ in edges])
+            self.labels = array("q", [NO_LABEL if x is None else x for _, _, x in edges])
+        except OverflowError:
+            raise ValueError("edge endpoints and labels must fit in 64 bits") from None
+
+    @classmethod
+    def _from_columns(cls, n: int, sources: array, targets: array, labels: array) -> "Digraph":
+        """A graph on columns a builder wrote, trusted as they are."""
+        g = cls.__new__(cls)
+        g.n, g.sources, g.targets, g.labels = n, sources, targets, labels
+        return g
+
+    @property
+    def edges(self) -> EdgeView:
+        return EdgeView(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and len(self.sources) == len(other.sources)
+            and sorted(self._triples()) == sorted(other._triples())
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, len(self.sources)))
+
+    def __repr__(self) -> str:
+        return f"<Digraph on {self.n} vertices with {len(self.sources)} edges>"
+
+    def _triples(self):
+        """(source, target, label) with label -1 for unlabeled edges."""
+        return zip(self.sources, self.targets, self.labels)
+
+    def _canonical_triples(self):
+        """(source, target, label) in export order, label -1 when unlabeled.
+
+        Each edge is sorted as one integer key, (s*n + t) * span + label + 1,
+        which orders like the triple and is decoded on the way out, so no
+        list of tuples is held. Unlabeled edges come first among equal
+        (source, target) pairs, since -1 sorts below every real label.
+        """
+        n = self.n
+        span = max(self.labels, default=NO_LABEL) + 2
+        keys = [(s * n + t) * span + label + 1 for s, t, label in self._triples()]
+        keys.sort()
+        for key in keys:
+            pair, label = divmod(key, span)
+            s, t = divmod(pair, n)
+            yield s, t, label - 1
 
     def sorted_edges(self) -> list[Edge]:
         """Edges in the canonical (source, target, label) order used for export."""
-        return sorted(self.edges, key=_edge_sort_key)
+        return [
+            (s, t, None if label == NO_LABEL else label)
+            for s, t, label in self._canonical_triples()
+        ]
 
     def simple_edges(self) -> frozenset[tuple[int, int]]:
         """The (source, target) projection as a set."""
-        return frozenset((s, t) for s, t, _ in self.edges)
+        return frozenset(zip(self.sources, self.targets))
 
     def edge_multiset(self) -> Counter:
         """The (source, target) projection counted with label multiplicity."""
-        return Counter((s, t) for s, t, _ in self.edges)
+        return Counter(zip(self.sources, self.targets))
 
     def out_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for s, _, _ in self.edges:
-            degs[s] += 1
-        return degs
+        return _count(self.sources, self.n)
 
     def in_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for _, t, _ in self.edges:
-            degs[t] += 1
-        return degs
+        return _count(self.targets, self.n)
+
+
+def _count(column: array, n: int) -> list[int]:
+    counts = [0] * n
+    for v in column:
+        counts[v] += 1
+    return counts
+
+
+def _unlabeled(size: int) -> array:
+    return array("q", [NO_LABEL]) * size
 
 
 @dataclass(frozen=True)
@@ -159,15 +240,16 @@ def modular_graph(f: BranchMap, m: int) -> Digraph:
 
     Every residue r mod p*m contributes the edge (r mod m) -> (f(r) mod m),
     labeled r; f(n) mod m depends only on n mod p*m, so these p*m labeled
-    edges realize exactly the relation "some lift of a maps onto b".
+    edges realize exactly the relation "some lift of a maps onto b". Edge r
+    sits at position r of the columns.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     check_size("modular graph edges", f.p * m)
-    edges = set()
-    for r in range(f.p * m):
-        edges.add((r % m, f.apply(r) % m, r))
-    return Digraph(m, frozenset(edges))
+    size = f.p * m
+    apply = f.apply
+    targets = array("q", [apply(r) % m for r in range(size)])
+    return Digraph._from_columns(m, array("q", range(m)) * f.p, targets, array("q", range(size)))
 
 
 def debruijn_graph(p: int, k: int) -> Digraph:
@@ -175,7 +257,8 @@ def debruijn_graph(p: int, k: int) -> Digraph:
 
     Vertices are the numbers of length-k digit words (digit i weighted by
     p**i). The word w steps to any word sharing its last k-1 digits:
-    n -> (n - n mod p)/p + x*p**(k-1), labeled by the overlap word n + x*p**k.
+    n -> (n - n mod p)/p + x*p**(k-1), labeled by the overlap word n + x*p**k,
+    which is also the edge's position in the columns.
     """
     if p < 2:
         raise ValueError(f"alphabet size must be at least 2, got {p}")
@@ -183,13 +266,13 @@ def debruijn_graph(p: int, k: int) -> Digraph:
         raise ValueError(f"dimension must be at least 1, got {k}")
     check_size("De Bruijn graph edges", 1, p, k + 1)
     m = p**k
-    edges = set()
     step = p ** (k - 1)
-    for n in range(m):
-        head = (n - n % p) // p
-        for x in range(p):
-            edges.add((n, head + x * step, n + x * m))
-    return Digraph(m, frozenset(edges))
+    heads = [n // p for n in range(m)]
+    targets = array("q")
+    for x in range(p):
+        shift = x * step
+        targets.extend([head + shift for head in heads])
+    return Digraph._from_columns(m, array("q", range(m)) * p, targets, array("q", range(p * m)))
 
 
 def line_graph(g: Digraph) -> Digraph:
@@ -198,38 +281,43 @@ def line_graph(g: Digraph) -> Digraph:
     Requires every edge to be labeled, with labels exactly 0..len(edges)-1,
     which is what the modular and De Bruijn builders produce.
     """
-    labels = sorted(label for _, _, label in g.edges if label is not None)
-    if labels != list(range(len(g.edges))):
+    labels = g.labels
+    if sorted(labels) != list(range(len(labels))):
         raise ValueError("line graph needs all edges labeled exactly 0..E-1")
     out_degrees = g.out_degrees()
-    check_size("line graph edges", sum(out_degrees[t] for _, t, _ in g.edges))
-    outgoing = defaultdict(list)
-    for s, _, label in g.edges:
+    check_size("line graph edges", sum(out_degrees[t] for t in g.targets))
+    outgoing = [[] for _ in range(g.n)]
+    for s, label in zip(g.sources, labels):
         outgoing[s].append(label)
-    edges = set()
-    for _, t, label in g.edges:
-        for succ in outgoing[t]:
-            edges.add((label, succ, None))
-    return Digraph(len(g.edges), frozenset(edges))
+    sources = array("q")
+    targets = array("q")
+    for t, label in zip(g.targets, labels):
+        succ = outgoing[t]
+        sources.extend([label] * len(succ))
+        targets.extend(succ)
+    return Digraph._from_columns(len(labels), sources, targets, _unlabeled(len(sources)))
 
 
 def transpose(g: Digraph) -> Digraph:
     """Reverse every edge, keeping labels."""
-    return Digraph(g.n, frozenset((t, s, label) for s, t, label in g.edges))
+    return Digraph._from_columns(g.n, g.targets, g.sources, g.labels)
 
 
 def check_isomorphism(g: Digraph, h: Digraph, phi: Permutation) -> bool:
     """Does phi carry the (source, target) pairs of g exactly onto those of h?
 
-    Pairs are compared as multisets, one per labeled edge. Vertex counts must
-    agree with the permutation size.
+    Pairs are compared as multisets, one per labeled edge: each side is the
+    sorted list of its pairs encoded as source * n + target. Vertex counts
+    must agree with the permutation size.
     """
     if g.n != h.n or phi.size != g.n:
         raise ValueError(
             f"size mismatch: graphs have {g.n} and {h.n} vertices, permutation {phi.size}"
         )
-    mapped = Counter((phi(s), phi(t)) for s, t, _ in g.edges)
-    return mapped == h.edge_multiset()
+    n = g.n
+    img = phi.images
+    mapped = sorted([img[s] * n + img[t] for s, t in zip(g.sources, g.targets)])
+    return mapped == sorted([s * n + t for s, t in zip(h.sources, h.targets)])
 
 
 def restricted_graph(f: BranchMap, bound: int) -> Digraph:
@@ -237,33 +325,39 @@ def restricted_graph(f: BranchMap, bound: int) -> Digraph:
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     check_size("restricted graph vertices", bound)
-    edges = set()
+    sources = array("q")
+    targets = array("q")
     for v in range(bound):
         t = f.apply(v)
         if 0 <= t < bound:
-            edges.add((v, t, None))
-    return Digraph(bound, frozenset(edges))
+            sources.append(v)
+            targets.append(t)
+    return Digraph._from_columns(bound, sources, targets, _unlabeled(len(sources)))
 
 
 def graph_to_dot(g: Digraph) -> str:
     """Deterministic DOT rendering: vertices ascending, then edges in canonical order."""
     lines = ["digraph {"]
-    for v in range(g.n):
-        lines.append(f"  {v};")
-    for s, t, label in g.sorted_edges():
-        if label is None:
-            lines.append(f"  {s} -> {t};")
-        else:
-            lines.append(f'  {s} -> {t} [label="{label}"];')
+    lines += [f"  {v};" for v in range(g.n)]
+    lines += [
+        f"  {s} -> {t};" if label == NO_LABEL else f'  {s} -> {t} [label="{label}"];'
+        for s, t, label in g._canonical_triples()
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json(g: Digraph) -> str:
-    """Wire form: {"m": n, "edges": [[source, target, label-or-null], ...]}, sorted."""
-    return json.dumps(
-        {"m": g.n, "edges": [[s, t, label] for s, t, label in g.sorted_edges()]}
+    """Wire form: {"m": n, "edges": [[source, target, label-or-null], ...]}, sorted.
+
+    Written piece by piece in exactly json.dumps's layout, without building
+    the nested lists.
+    """
+    edges = ", ".join(
+        f"[{s}, {t}, {'null' if label == NO_LABEL else label}]"
+        for s, t, label in g._canonical_triples()
     )
+    return f'{{"m": {g.n}, "edges": [{edges}]}}'
 
 
 def graph_from_json(text: str) -> Digraph:

@@ -66,9 +66,10 @@ class BranchMap:
 
     def apply(self, x: int | Fraction) -> int | Fraction:
         """One forward step. Exact: integer in, integer out."""
-        a, b = self.branches[self.residue(x)]
         if isinstance(x, int):
+            a, b = self.branches[x % self.p]
             return (a * x + b) // self.p
+        a, b = self.branches[self.residue(x)]
         return (a * x + b) / self.p
 
     def apply_word(self, w: Word) -> Word:
@@ -89,9 +90,15 @@ class BranchMap:
             raise ValueError(f"length must be nonnegative, got {k}")
         cur = x
         digits = []
-        for _ in range(k):
-            digits.append(self.residue(cur))
-            cur = self.apply(cur)
+        if isinstance(x, int):
+            p = self.p
+            for _ in range(k):
+                digits.append(cur % p)
+                cur = self.apply(cur)
+        else:
+            for _ in range(k):
+                digits.append(self.residue(cur))
+                cur = self.apply(cur)
         return Word(self.p, tuple(digits))
 
     def scaled_orbit(self, r: int | Fraction, max_steps: int) -> ScaledOrbit | None:

@@ -46,6 +46,8 @@ def necklace_count(p: int, k: int) -> int:
     p letters: (1/k) * sum over d | k of mobius(d) * p**(k/d)."""
     if p < 2 or k < 1:
         raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
+    # the largest power, p**k, has k base-p digits; refused before any is built
+    check_size("necklace count digits", k)
     # only squarefree d contribute; skipping the rest skips their huge powers
     total = sum(mu * p ** (k // d) for d in _divisors(k) if (mu := mobius(d)))
     return total // k
@@ -122,6 +124,9 @@ def is_debruijn_sequence(s: Word, p: int, k: int) -> bool:
     """
     if p < 2 or k < 1:
         raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
+    # p**k >= 2**k > len(s) here: the length decides before p**k is built
+    if k >= len(s).bit_length():
+        return False
     n = p**k
     if len(s) != n or any(d >= p for d in s.digits):
         return False

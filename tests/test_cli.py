@@ -95,6 +95,14 @@ def test_seq_verify_out_of_range_digit_is_a_verdict(capsys):
     assert (code, out) == (1, "false\n")
 
 
+def test_seq_verify_huge_k_is_decided_by_length(capsys):
+    # 3**k is never built: a 3-digit sequence is far shorter than 2**k
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "seq", "verify", "--p", "3", "--k", "100000000", "012")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "false\n")
+
+
 def test_graph_modular_dot(capsys):
     code, out, _ = run(capsys, "graph", "modular", "--map", "collatz", "--m", "3")
     assert code == 0
@@ -260,6 +268,7 @@ def test_argparse_usage_exit():
         "graph debruijn --p 3 --k 100000000",
         "conj perm --map collatz-original --k 100000000",
         "spectral check --k 12 --l-max 13",
+        "count necklaces --p 3 --k 100000000",
     ],
 )
 def test_oversized_requests_fail_fast_naming_the_budget(argv, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from collatzgraphs import (
     lyndon_words,
     matrix_power,
     modular_graph,
+    necklace_count,
     original_collatz_map,
     periodic_expansion,
     restricted_graph,
@@ -45,6 +46,7 @@ BUILDS = {
     "lyndon_words exact": (lambda: lyndon_words(2, 5), 2**5),
     "lyndon_words dividing": (lambda: lyndon_words(3, 3, mode="dividing"), 3**3),
     "fkm_sequence": (lambda: fkm_sequence(2, 4), 2**4),
+    "necklace_count": (lambda: necklace_count(3, 6), 6),
     "collatz_cycles": (lambda: collatz_cycles(5), 2**5),
     "adjacency_matrix": (lambda: adjacency_matrix(modular_graph(collatz_map(), 4)), 4 * 4),
     "matrix_power": (lambda: matrix_power([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 5), 3 * 3),

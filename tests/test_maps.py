@@ -121,6 +121,16 @@ def test_digit_sequence_tracks_orbit_residues(f, n, k):
         x = f.apply(x)
 
 
+@given(branch_maps(), st.integers(min_value=-10**6, max_value=10**6), st.integers(0, 8))
+def test_int_fast_path_matches_the_rational_path(f, n, k):
+    # ints index the branch by n % p and take digits as n % p; an integral
+    # Fraction still goes through residue()
+    image = f.apply(n)
+    assert type(image) is int
+    assert image == f.apply(Fraction(n))
+    assert f.digit_sequence(n, k) == f.digit_sequence(Fraction(n), k)
+
+
 def test_json_round_trip():
     f = original_collatz_map()
     assert map_from_json(map_to_json(f)) == f

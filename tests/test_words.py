@@ -124,3 +124,22 @@ def test_debruijn_verdicts():
     assert not is_debruijn_sequence(Word(3, (0, 0, 1, 2)), 2, 2)  # digit out of range
     with pytest.raises(ValueError):
         is_debruijn_sequence(Word.from_str("0011", 2), 2, 0)
+
+
+def debruijn_oracle(s, p, k):
+    """The verdict before the length test: build p**k, then compare."""
+    n = p**k
+    if len(s) != n or any(d >= p for d in s.digits):
+        return False
+    doubled = s.digits + s.digits[: k - 1]
+    return len({doubled[i : i + k] for i in range(n)}) == n
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((2, 3, 4)), st.integers(1, 6), st.integers(0, 40), st.randoms())
+def test_debruijn_verdict_matches_oracle(p, k, length, rng):
+    # random words of length up to 40 and of length exactly p**k, and the FKM sequence
+    for s in (Word(p, tuple(rng.randrange(p) for _ in range(length))), fkm_sequence(p, k)):
+        assert is_debruijn_sequence(s, p, k) == debruijn_oracle(s, p, k)
+    exact = Word(p, tuple(rng.randrange(p) for _ in range(p**k)))
+    assert is_debruijn_sequence(exact, p, k) == debruijn_oracle(exact, p, k)
