@@ -4,6 +4,10 @@ cycles, and spectral checks, with deterministic text/JSON/DOT output.
 Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for a
 usage error (a violated precondition is named on standard error), 3 when an
 iteration budget ran out before a decision could be reached.
+
+Each runner returns (exit code, text), text None when nothing is printed.
+main is the one place that writes the text, to standard output or --output,
+and the one place that turns a library error into exit code 2.
 """
 
 import argparse
@@ -32,7 +36,7 @@ from .graphs import (
     modular_graph,
     transpose,
 )
-from .limits import ResourceLimitError
+from .limits import SIZE_LIMIT_ENV, ResourceLimitError
 from .maps import PRESETS, BranchMap, map_from_json, standard_map
 from .spectral import uniform_power_violation
 from .words import fkm_sequence, is_debruijn_sequence, lyndon_words, necklace_count
@@ -41,6 +45,10 @@ OK = 0
 FALSE = 1
 USAGE = 2
 UNDETERMINED = 3
+
+Result = tuple[int, str | None]
+
+_OUT_OF_MEMORY = f"out of memory (lower {SIZE_LIMIT_ENV} to refuse such requests up front)"
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -72,25 +80,24 @@ def _resolve_map(args: argparse.Namespace) -> BranchMap:
     raise ValueError(f"--map must be one of {', '.join(PRESETS)} or a JSON file path, got {name!r}")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if text and not text.endswith("\n"):
-        text += "\n"
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _read_graph(args: argparse.Namespace) -> Digraph:
     if args.input == "-":
         return graph_from_json(sys.stdin.read())
     return graph_from_json(Path(args.input).read_text())
 
 
-def _emit_graph(args: argparse.Namespace, g: Digraph) -> int:
-    _emit(args, graph_to_json(g) if args.format == "json" else graph_to_dot(g))
-    return OK
+_GRAPH_WRITERS = {"dot": graph_to_dot, "json": graph_to_json}
+
+
+def _formatted(args: argparse.Namespace, jsonable, text) -> str:
+    """json.dumps(jsonable()) under --format json, else text(): only one is built."""
+    return json.dumps(jsonable()) if args.format == "json" else text()
+
+
+def _verdict(ok: bool, detail: str = "") -> Result:
+    if ok:
+        return OK, "true"
+    return FALSE, f"false\n{detail}" if detail else "false"
 
 
 def _perm_text(phi: Permutation) -> str:
@@ -109,135 +116,102 @@ def _cycle_text(cycle) -> str:
     )
 
 
-def _run_graph_modular(args: argparse.Namespace) -> int:
-    return _emit_graph(args, modular_graph(_resolve_map(args), args.m))
+def _run_graph_modular(args: argparse.Namespace) -> Result:
+    return OK, _GRAPH_WRITERS[args.format](modular_graph(_resolve_map(args), args.m))
 
 
-def _run_graph_debruijn(args: argparse.Namespace) -> int:
-    return _emit_graph(args, debruijn_graph(args.p, args.k))
+def _run_graph_debruijn(args: argparse.Namespace) -> Result:
+    return OK, _GRAPH_WRITERS[args.format](debruijn_graph(args.p, args.k))
 
 
-def _run_graph_line(args: argparse.Namespace) -> int:
-    return _emit_graph(args, line_graph(_read_graph(args)))
+def _run_graph_line(args: argparse.Namespace) -> Result:
+    return OK, _GRAPH_WRITERS[args.format](line_graph(_read_graph(args)))
 
 
-def _run_graph_transpose(args: argparse.Namespace) -> int:
-    return _emit_graph(args, transpose(_read_graph(args)))
+def _run_graph_transpose(args: argparse.Namespace) -> Result:
+    return OK, _GRAPH_WRITERS[args.format](transpose(_read_graph(args)))
 
 
-def _run_conj_perm(args: argparse.Namespace) -> int:
+def _run_conj_perm(args: argparse.Namespace) -> Result:
     phi = conjugacy_permutation(_resolve_map(args), args.k)
-    if args.format == "json":
-        _emit(args, json.dumps(phi.to_jsonable()))
-    else:
-        _emit(args, _perm_text(phi))
-    return OK
+    return OK, _formatted(args, phi.to_jsonable, lambda: _perm_text(phi))
 
 
-def _run_conj_verify(args: argparse.Namespace) -> int:
-    ok = verify_conjugacy(_resolve_map(args), args.k)
-    _emit(args, "true" if ok else "false")
-    return OK if ok else FALSE
+def _run_conj_verify(args: argparse.Namespace) -> Result:
+    return _verdict(verify_conjugacy(_resolve_map(args), args.k))
 
 
-def _run_conj_phi(args: argparse.Namespace) -> int:
+def _run_conj_phi(args: argparse.Namespace) -> Result:
     f = _resolve_map(args)
     if args.word is not None:
-        _emit(args, str(phi_truncated(f, Word.from_str(args.word, f.p))))
-        return OK
+        return OK, str(phi_truncated(f, Word.from_str(args.word, f.p)))
     if args.invert is not None:
         try:
-            preimage = phi_inverse_truncated(f, Word.from_str(args.invert, f.p))
+            return OK, str(phi_inverse_truncated(f, Word.from_str(args.invert, f.p)))
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return FALSE
-        _emit(args, str(preimage))
-        return OK
+            return FALSE, None
     result = phi_exact(f, _parse_rational(args.exact), max_steps=args.max_steps)
     if result is None:
-        _emit(args, "undetermined")
-        return UNDETERMINED
-    if args.format == "json":
-        payload = {
+        return UNDETERMINED, "undetermined"
+    return OK, _formatted(
+        args,
+        lambda: {
             "value": str(result.value),
             "digits": str(result.digits),
             "steps_used": result.steps_used,
-        }
-        _emit(args, json.dumps(payload))
-    else:
-        _emit(args, str(result.value))
-    return OK
+        },
+        lambda: str(result.value),
+    )
 
 
-def _run_seq_fkm(args: argparse.Namespace) -> int:
-    _emit(args, str(fkm_sequence(args.p, args.k)))
-    return OK
+def _run_seq_fkm(args: argparse.Namespace) -> Result:
+    return OK, str(fkm_sequence(args.p, args.k))
 
 
-def _run_seq_verify(args: argparse.Namespace) -> int:
+def _run_seq_verify(args: argparse.Namespace) -> Result:
     digits = _parse_digit_list(args.sequence)
     base = max([args.p] + [d + 1 for d in digits])
-    ok = is_debruijn_sequence(Word(base, digits), args.p, args.k)
-    _emit(args, "true" if ok else "false")
-    return OK if ok else FALSE
+    return _verdict(is_debruijn_sequence(Word(base, digits), args.p, args.k))
 
 
-def _run_count_necklaces(args: argparse.Namespace) -> int:
-    _emit(args, str(necklace_count(args.p, args.k)))
-    return OK
+def _run_count_necklaces(args: argparse.Namespace) -> Result:
+    return OK, str(necklace_count(args.p, args.k))
 
 
-def _run_words_lyndon(args: argparse.Namespace) -> int:
-    found = lyndon_words(args.p, args.k, mode=args.mode)
-    _emit(args, "\n".join(str(w) for w in found))
-    return OK
+def _run_words_lyndon(args: argparse.Namespace) -> Result:
+    return OK, "\n".join(str(w) for w in lyndon_words(args.p, args.k, mode=args.mode))
 
 
-def _run_cycles_from_word(args: argparse.Namespace) -> int:
+def _run_cycles_from_word(args: argparse.Namespace) -> Result:
     f = _resolve_map(args)
     cycle = word_cycle(f, Word.from_str(args.word, f.p))
-    if args.format == "json":
-        _emit(args, json.dumps(cycle.to_jsonable()))
-    else:
-        _emit(args, _cycle_text(cycle))
-    return OK
+    return OK, _formatted(args, cycle.to_jsonable, lambda: _cycle_text(cycle))
 
 
-def _run_cycles_for_b(args: argparse.Namespace) -> int:
+def _run_cycles_for_b(args: argparse.Namespace) -> Result:
     found = cycles_with_denominator(args.b, args.max_len)
-    if args.format == "json":
-        _emit(args, json.dumps([cycle.to_jsonable() for cycle in found]))
-    else:
-        lines = [
-            f"{cycle.word}  b={cycle.b}  ({', '.join(str(n) for n in cycle.integer_cycle)})"
-            for cycle in found
-        ]
-        _emit(args, "\n".join(lines))
-    return OK
+    lines = (f"{c.word}  b={c.b}  ({', '.join(str(n) for n in c.integer_cycle)})" for c in found)
+    return OK, _formatted(args, lambda: [c.to_jsonable() for c in found], lambda: "\n".join(lines))
 
 
-def _run_cycles_classify(args: argparse.Namespace) -> int:
+def _run_cycles_classify(args: argparse.Namespace) -> Result:
     f = _resolve_map(args)
     result = classify_orbit(f, _parse_rational(args.start), max_steps=args.max_steps)
     if result is None:
-        _emit(args, "undetermined")
-        return UNDETERMINED
-    if args.format == "json":
-        payload = {"cycle": result.cycle.to_jsonable(), "preperiod": result.preperiod}
-        _emit(args, json.dumps(payload))
-    else:
-        _emit(args, _cycle_text(result.cycle) + f"\npreperiod {result.preperiod}")
-    return OK
+        return UNDETERMINED, "undetermined"
+    return OK, _formatted(
+        args,
+        lambda: {"cycle": result.cycle.to_jsonable(), "preperiod": result.preperiod},
+        lambda: f"{_cycle_text(result.cycle)}\npreperiod {result.preperiod}",
+    )
 
 
-def _run_spectral_check(args: argparse.Namespace) -> int:
+def _run_spectral_check(args: argparse.Namespace) -> Result:
     violation = uniform_power_violation(_resolve_map(args), args.k, args.l_max)
     if violation is None:
-        _emit(args, "true")
-        return OK
-    l, i, j, entry = violation
-    _emit(args, f"false\nviolation l={l} i={i} j={j} entry={entry}")
-    return FALSE
+        return _verdict(True)
+    return _verdict(False, "violation l={} i={} j={} entry={}".format(*violation))
 
 
 def _add_map_args(parser: argparse.ArgumentParser) -> None:
@@ -250,9 +224,21 @@ def _add_map_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=int, help="offset for the an+b preset (odd)")
 
 
-def _add_output_args(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--format", choices=formats, default=formats[0])
-    parser.add_argument("--output", help="write to this file instead of standard output")
+def _add_pk(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    return parser
+
+
+GROUPS = {
+    "graph": "build and convert digraphs",
+    "conj": "digit conjugacy to the De Bruijn shift",
+    "seq": "De Bruijn sequences",
+    "count": "counting formulas",
+    "words": "word enumeration",
+    "cycles": "rational cycles of branch maps",
+    "spectral": "adjacency power checks",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,144 +248,93 @@ def _build_parser() -> argparse.ArgumentParser:
         "conjugacies, necklace counting, and rational cycle tables.",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    groups = {
+        name: top.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
+        for name, text in GROUPS.items()
+    }
 
-    graph = top.add_parser("graph", help="build and convert digraphs").add_subparsers(
-        dest="subcommand", required=True
-    )
-    g_mod = graph.add_parser("modular", help="residue transition graph of a branch map mod m")
-    _add_map_args(g_mod)
-    g_mod.add_argument("--m", type=int, required=True, help="modulus (number of vertices)")
-    _add_output_args(g_mod, ("dot", "json"))
-    g_mod.set_defaults(func=_run_graph_modular)
+    def command(path, func, help, formats=(), map_args=False) -> argparse.ArgumentParser:
+        group, name = path.split()
+        sub = groups[group].add_parser(name, help=help)
+        if map_args:
+            _add_map_args(sub)
+        if formats:
+            sub.add_argument("--format", choices=formats, default=formats[0])
+        sub.add_argument("--output", help="write to this file instead of standard output")
+        sub.set_defaults(func=func)
+        return sub
 
-    g_db = graph.add_parser("debruijn", help="De Bruijn graph on p**k words")
-    g_db.add_argument("--p", type=int, required=True)
-    g_db.add_argument("--k", type=int, required=True)
-    _add_output_args(g_db, ("dot", "json"))
-    g_db.set_defaults(func=_run_graph_debruijn)
+    dot, text = ("dot", "json"), ("text", "json")
+    sub = command("graph modular", _run_graph_modular,
+                  "residue transition graph of a branch map mod m", dot, map_args=True)
+    sub.add_argument("--m", type=int, required=True, help="modulus (number of vertices)")
+    _add_pk(command("graph debruijn", _run_graph_debruijn, "De Bruijn graph on p**k words", dot))
+    for sub in (
+        command("graph line", _run_graph_line,
+                "line graph of a graph JSON (labels become vertices)", dot),
+        command("graph transpose", _run_graph_transpose, "reverse every edge of a graph JSON", dot),
+    ):
+        sub.add_argument("--input", default="-", help="graph JSON file, or - for standard input")
 
-    g_line = graph.add_parser("line", help="line graph of a graph JSON (labels become vertices)")
-    g_line.add_argument("--input", default="-", help="graph JSON file, or - for standard input")
-    _add_output_args(g_line, ("dot", "json"))
-    g_line.set_defaults(func=_run_graph_line)
-
-    g_tr = graph.add_parser("transpose", help="reverse every edge of a graph JSON")
-    g_tr.add_argument("--input", default="-", help="graph JSON file, or - for standard input")
-    _add_output_args(g_tr, ("dot", "json"))
-    g_tr.set_defaults(func=_run_graph_transpose)
-
-    conj = top.add_parser("conj", help="digit conjugacy to the De Bruijn shift").add_subparsers(
-        dest="subcommand", required=True
-    )
-    c_perm = conj.add_parser("perm", help="conjugacy permutation of residues mod p**k")
-    _add_map_args(c_perm)
-    c_perm.add_argument("--k", type=int, required=True)
-    _add_output_args(c_perm, ("text", "json"))
-    c_perm.set_defaults(func=_run_conj_perm)
-
-    c_verify = conj.add_parser(
-        "verify", help="check the permutation maps the modular graph onto the De Bruijn graph"
-    )
-    _add_map_args(c_verify)
-    c_verify.add_argument("--k", type=int, required=True)
-    c_verify.add_argument("--output")
-    c_verify.set_defaults(func=_run_conj_verify)
-
-    c_phi = conj.add_parser("phi", help="digit conjugacy of a single value")
-    _add_map_args(c_phi)
-    mode = c_phi.add_mutually_exclusive_group(required=True)
+    sub = command("conj perm", _run_conj_perm,
+                  "conjugacy permutation of residues mod p**k", text, map_args=True)
+    sub.add_argument("--k", type=int, required=True)
+    sub = command("conj verify", _run_conj_verify,
+                  "check the permutation maps the modular graph onto the De Bruijn graph",
+                  map_args=True)
+    sub.add_argument("--k", type=int, required=True)
+    sub = command("conj phi", _run_conj_phi,
+                  "digit conjugacy of a single value", text, map_args=True)
+    mode = sub.add_mutually_exclusive_group(required=True)
     mode.add_argument("--word", help="truncated image of a digit word")
     mode.add_argument("--exact", help="exact rational image of a rational input")
     mode.add_argument("--invert", help="preimage word of a digit word")
-    c_phi.add_argument("--max-steps", type=int, default=10000)
-    _add_output_args(c_phi, ("text", "json"))
-    c_phi.set_defaults(func=_run_conj_phi)
+    sub.add_argument("--max-steps", type=int, default=10000)
 
-    seq = top.add_parser("seq", help="De Bruijn sequences").add_subparsers(
-        dest="subcommand", required=True
-    )
-    s_fkm = seq.add_parser("fkm", help="lexicographic Lyndon-word concatenation sequence")
-    s_fkm.add_argument("--p", type=int, required=True)
-    s_fkm.add_argument("--k", type=int, required=True)
-    s_fkm.add_argument("--output")
-    s_fkm.set_defaults(func=_run_seq_fkm)
+    _add_pk(command("seq fkm", _run_seq_fkm, "lexicographic Lyndon-word concatenation sequence"))
+    sub = _add_pk(command("seq verify", _run_seq_verify,
+                          "check a digit string is a (p, k) De Bruijn sequence"))
+    sub.add_argument("sequence", help="digit string (comma separated for digits above 9)")
+    _add_pk(command("count necklaces", _run_count_necklaces,
+                    "number of aperiodic necklaces of length k"))
+    sub = _add_pk(command("words lyndon", _run_words_lyndon, "Lyndon words over p letters"))
+    sub.add_argument("--mode", choices=("exact", "dividing"), default="exact",
+                     help="lengths exactly k, or all lengths dividing k")
 
-    s_verify = seq.add_parser("verify", help="check a digit string is a (p, k) De Bruijn sequence")
-    s_verify.add_argument("--p", type=int, required=True)
-    s_verify.add_argument("--k", type=int, required=True)
-    s_verify.add_argument("sequence", help="digit string (comma separated for digits above 9)")
-    s_verify.add_argument("--output")
-    s_verify.set_defaults(func=_run_seq_verify)
+    sub = command("cycles from-word", _run_cycles_from_word,
+                  "the cycle whose digit word is given", text, map_args=True)
+    sub.add_argument("word", help="digit word over the map's base")
+    sub = command("cycles for-b", _run_cycles_for_b,
+                  "all 3n+1 rational cycles with denominator b, up to a word length", text)
+    sub.add_argument("--b", type=int, required=True, help="denominator (positive, coprime to 6)")
+    sub.add_argument("--max-len", type=int, default=12)
+    sub = command("cycles classify", _run_cycles_classify,
+                  "iterate a seed until its orbit reaches a cycle", text, map_args=True)
+    sub.add_argument("--start", required=True, help="integer or rational seed")
+    sub.add_argument("--max-steps", type=int, default=10000)
 
-    count = top.add_parser("count", help="counting formulas").add_subparsers(
-        dest="subcommand", required=True
-    )
-    c_neck = count.add_parser("necklaces", help="number of aperiodic necklaces of length k")
-    c_neck.add_argument("--p", type=int, required=True)
-    c_neck.add_argument("--k", type=int, required=True)
-    c_neck.add_argument("--output")
-    c_neck.set_defaults(func=_run_count_necklaces)
-
-    words = top.add_parser("words", help="word enumeration").add_subparsers(
-        dest="subcommand", required=True
-    )
-    w_lyndon = words.add_parser("lyndon", help="Lyndon words over p letters")
-    w_lyndon.add_argument("--p", type=int, required=True)
-    w_lyndon.add_argument("--k", type=int, required=True)
-    w_lyndon.add_argument(
-        "--mode",
-        choices=("exact", "dividing"),
-        default="exact",
-        help="lengths exactly k, or all lengths dividing k",
-    )
-    w_lyndon.add_argument("--output")
-    w_lyndon.set_defaults(func=_run_words_lyndon)
-
-    cycles = top.add_parser("cycles", help="rational cycles of branch maps").add_subparsers(
-        dest="subcommand", required=True
-    )
-    cy_word = cycles.add_parser("from-word", help="the cycle whose digit word is given")
-    _add_map_args(cy_word)
-    cy_word.add_argument("word", help="digit word over the map's base")
-    _add_output_args(cy_word, ("text", "json"))
-    cy_word.set_defaults(func=_run_cycles_from_word)
-
-    cy_b = cycles.add_parser(
-        "for-b", help="all 3n+1 rational cycles with denominator b, up to a word length"
-    )
-    cy_b.add_argument("--b", type=int, required=True, help="denominator (positive, coprime to 6)")
-    cy_b.add_argument("--max-len", type=int, default=12)
-    _add_output_args(cy_b, ("text", "json"))
-    cy_b.set_defaults(func=_run_cycles_for_b)
-
-    cy_cls = cycles.add_parser("classify", help="iterate a seed until its orbit reaches a cycle")
-    _add_map_args(cy_cls)
-    cy_cls.add_argument("--start", required=True, help="integer or rational seed")
-    cy_cls.add_argument("--max-steps", type=int, default=10000)
-    _add_output_args(cy_cls, ("text", "json"))
-    cy_cls.set_defaults(func=_run_cycles_classify)
-
-    spectral = top.add_parser("spectral", help="adjacency power checks").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sp_check = spectral.add_parser(
-        "check", help="are all l-step walk counts mod p**k uniformly p**(l-k)"
-    )
-    _add_map_args(sp_check)
-    sp_check.add_argument("--k", type=int, required=True)
-    sp_check.add_argument("--l-max", type=int, required=True)
-    sp_check.add_argument("--output")
-    sp_check.set_defaults(func=_run_spectral_check)
-
+    sub = command("spectral check", _run_spectral_check,
+                  "are all l-step walk counts mod p**k uniformly p**(l-k)", map_args=True)
+    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--l-max", type=int, required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ResourceLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code, text = args.func(args)
+        if text is not None:
+            if text and not text.endswith("\n"):
+                text += "\n"
+            if args.output:
+                Path(args.output).write_text(text)
+            else:
+                sys.stdout.write(text)
+        return code
+    except (ValueError, ResourceLimitError, OSError, MemoryError) as exc:
+        message = _OUT_OF_MEMORY if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return USAGE
 
 

@@ -6,8 +6,9 @@ where the label -1 means "unlabeled". Labels are optional but pairwise
 distinct when present. Multi-edges are distinguished only by label; the
 projection to (source, target) pairs is what isomorphism checks compare.
 The builders below write the columns directly; the Digraph(n, edges)
-constructor, which hand-made and parsed graphs go through, validates its
-(source, target, label) triples. Graphs are never modified once built.
+constructor, which hand-made and parsed graphs go through, validates and
+deduplicates its (source, target, label) triples in one pass over one set.
+Graphs are never modified once built.
 
 Builders count what they will store (edges, or the vertices of a restricted
 graph) against the size budget of limits.py before building anything, so a
@@ -55,24 +56,23 @@ class Digraph:
     __slots__ = ("n", "sources", "targets", "labels")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        edges = frozenset((s, t, label) for s, t, label in edges)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        labels = []
+        triples = set()
         for s, t, label in edges:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"edge ({s}, {t}) leaves the vertex range 0..{n - 1}")
-            if label is not None:
-                if label < 0:
-                    raise ValueError(f"negative edge label {label}")
-                labels.append(label)
+            if label is not None and label < 0:
+                raise ValueError(f"negative edge label {label}")
+            triples.add((s, t, label))
+        labels = [label for _, _, label in triples if label is not None]
         if len(labels) != len(set(labels)):
             raise ValueError("edge labels must be pairwise distinct")
         self.n = n
         try:
-            self.sources = array("q", [s for s, _, _ in edges])
-            self.targets = array("q", [t for _, t, _ in edges])
-            self.labels = array("q", [NO_LABEL if x is None else x for _, _, x in edges])
+            self.sources = array("q", [s for s, _, _ in triples])
+            self.targets = array("q", [t for _, t, _ in triples])
+            self.labels = array("q", [NO_LABEL if x is None else x for _, _, x in triples])
         except OverflowError:
             raise ValueError("edge endpoints and labels must fit in 64 bits") from None
 
@@ -372,7 +372,7 @@ def graph_from_json(text: str) -> Digraph:
     raw_edges = data["edges"]
     if not isinstance(m, int) or not isinstance(raw_edges, list):
         raise ValueError("graph JSON: m must be an integer and edges a list")
-    edges = set()
+    check_size("graph JSON edges", len(raw_edges))
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 3):
             raise ValueError(f"graph JSON: edge {item!r} is not a [source, target, label] triple")
@@ -381,7 +381,7 @@ def graph_from_json(text: str) -> Digraph:
             raise ValueError(f"graph JSON: edge {item!r} has non-integer endpoints")
         if label is not None and not isinstance(label, int):
             raise ValueError(f"graph JSON: edge {item!r} has a non-integer label")
-        edges.add((s, t, label))
-    if len(edges) != len(raw_edges):
+    g = Digraph(m, raw_edges)
+    if len(g.sources) != len(raw_edges):
         raise ValueError("graph JSON: duplicate edges")
-    return Digraph(m, frozenset(edges))
+    return g

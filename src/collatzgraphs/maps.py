@@ -85,21 +85,21 @@ class BranchMap:
         return Word.from_int(self.apply(w.value()), self.p, len(w) - 1)
 
     def digit_sequence(self, x: int | Fraction, k: int) -> Word:
-        """The word x_0 .. x_{k-1} of orbit residues: x_i = (i-th iterate) mod p."""
+        """The word x_0 .. x_{k-1} of orbit residues: x_i = (i-th iterate) mod p.
+
+        Digit i depends only on x mod p**(i+1), so a rational x is replaced
+        by its residue mod p**k and the integer orbit is stepped instead.
+        """
         if k < 0:
             raise ValueError(f"length must be nonnegative, got {k}")
-        cur = x
+        p = self.p
+        if not isinstance(x, int):
+            x = residue(x, p**k)
         digits = []
-        if isinstance(x, int):
-            p = self.p
-            for _ in range(k):
-                digits.append(cur % p)
-                cur = self.apply(cur)
-        else:
-            for _ in range(k):
-                digits.append(self.residue(cur))
-                cur = self.apply(cur)
-        return Word(self.p, tuple(digits))
+        for _ in range(k):
+            digits.append(x % p)
+            x = self.apply(x)
+        return Word(p, tuple(digits))
 
     def scaled_orbit(self, r: int | Fraction, max_steps: int) -> ScaledOrbit | None:
         """Iterate r = n/q through its integer numerator until a state repeats.

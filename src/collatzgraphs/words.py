@@ -4,21 +4,29 @@ from .arith import Word
 from .limits import check_size
 
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n in ascending order, from a trial-division
-    factorization: O(sqrt(n)) divisions instead of n."""
-    divisors = [1]
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1 in ascending prime order, by trial
+    division: O(sqrt(n)) divisions."""
+    pairs = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            power, count = 1, len(divisors)
+            e = 0
             while n % d == 0:
                 n //= d
-                power *= d
-                divisors += [x * power for x in divisors[:count]]
+                e += 1
+            pairs.append((d, e))
         d += 1
     if n > 1:
-        divisors += [x * n for x in divisors]
+        pairs.append((n, 1))
+    return pairs
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n in ascending order, from its factorization."""
+    divisors = [1]
+    for prime, e in _factor(n):
+        divisors = [x * prime**i for i in range(e + 1) for x in divisors]
     return sorted(divisors)
 
 
@@ -26,19 +34,10 @@ def mobius(n: int) -> int:
     """The Moebius function: 0 on square factors, else (-1)**(number of primes)."""
     if n < 1:
         raise ValueError(f"mobius needs a positive integer, got {n}")
-    primes = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            primes += 1
-        else:
-            d += 1
-    if n > 1:
-        primes += 1
-    return -1 if primes % 2 else 1
+    pairs = _factor(n)
+    if any(e > 1 for _, e in pairs):
+        return 0
+    return -1 if len(pairs) % 2 else 1
 
 
 def necklace_count(p: int, k: int) -> int:

@@ -5,6 +5,7 @@ PASS/FAIL line per criterion number NN so the whole gate is readable at a
 glance.
 """
 
+import argparse
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from collatzgraphs import BranchMap, Word
+from collatzgraphs.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,6 +27,17 @@ def run_python(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def cli_commands() -> dict[tuple[str, str], argparse.ArgumentParser]:
+    """Every subcommand of the CLI parser, keyed by (group, name)."""
+    commands = {}
+    (top,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for group, group_parser in top.choices.items():
+        (sub,) = [a for a in group_parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, command in sub.choices.items():
+            commands[group, name] = command
+    return commands
 
 
 _CRITERION = re.compile(r"test_acceptance\.py.*::test_c(\d{2})")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from collatzgraphs import graph_from_json, map_to_json, modular_graph, original_collatz_map
+from collatzgraphs import cli, graph_from_json, map_to_json, modular_graph, original_collatz_map
 from collatzgraphs.cli import main
 
 from conftest import run_python
@@ -241,6 +241,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "00010111\n"
+
+
+def test_out_of_memory_is_a_usage_error_naming_the_budget(capsys, monkeypatch):
+    def exhausted(f, m):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "modular_graph", exhausted)
+    code, out, err = run(capsys, "graph", "modular", "--m", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory")
+    assert "COLLATZGRAPHS_SIZE_LIMIT" in err
 
 
 def test_installed_entry_point():

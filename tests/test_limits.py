@@ -16,6 +16,8 @@ from collatzgraphs import (
     debruijn_graph,
     digit_reversal_permutation,
     fkm_sequence,
+    graph_from_json,
+    graph_to_json,
     line_graph,
     lyndon_words,
     matrix_power,
@@ -30,6 +32,8 @@ from collatzgraphs.limits import check_size
 
 # vertex 2 is a sink, so the line graph has one edge (0 -> 1 -> 2), not three
 SINK_GRAPH = Digraph(3, frozenset({(0, 1, 0), (1, 2, 1), (0, 2, 2)}))
+# six edges, written once under the default budget
+GRAPH_JSON = graph_to_json(modular_graph(collatz_map(), 3))
 
 # (call, the number of items it stores)
 BUILDS = {
@@ -40,6 +44,7 @@ BUILDS = {
     "line_graph": (lambda: line_graph(debruijn_graph(2, 2)), 8 * 2),
     "line_graph with a sink": (lambda: line_graph(SINK_GRAPH), 1),
     "restricted_graph": (lambda: restricted_graph(collatz_map(), 10), 10),
+    "graph_from_json": (lambda: graph_from_json(GRAPH_JSON), 2 * 3),
     "conjugacy_permutation p=2": (lambda: conjugacy_permutation(collatz_map(), 4), 2**4),
     "conjugacy_permutation p=3": (lambda: conjugacy_permutation(original_collatz_map(), 2), 3**2),
     "digit_reversal_permutation": (lambda: digit_reversal_permutation(3, 2), 3**2),

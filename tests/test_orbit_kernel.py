@@ -6,8 +6,9 @@ below are the plain definitions they used before: step the Fraction itself
 with f.apply and stop at the first repeated state, or after len(w) steps for
 a cycle word. Results must agree exactly, undetermined (None) included, at
 the budgets around the point where the repeat is found. padic_digits and
-phi_truncated read their digits off one residue instead of stepping; their
-oracles are the digit-by-digit loops.
+phi_truncated read their digits off one residue instead of stepping, and
+BranchMap.digit_sequence steps a rational's residue mod p**k as an integer;
+their oracles are the digit-by-digit loops.
 """
 
 import time
@@ -252,6 +253,34 @@ def oracle_padic_digits(r, p, n):
 def test_padic_digits_match_digit_extraction(case, n):
     p, r = case
     assert padic_digits(r, p, n) == oracle_padic_digits(r, p, n)
+
+
+def oracle_digit_sequence(f, x, k):
+    digits = []
+    for _ in range(k):
+        digits.append(f.residue(x))
+        x = f.apply(x)
+    return Word(f.p, tuple(digits))
+
+
+@settings(max_examples=300)
+@given(maps_and_seeds(), st.integers(min_value=0, max_value=30))
+def test_digit_sequence_matches_fraction_walk(case, k):
+    f, r = case
+    assert f.digit_sequence(r, k) == oracle_digit_sequence(f, Fraction(r), k)
+
+
+@given(
+    st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(st.just(p), bad_seeds(p))),
+    st.integers(min_value=1, max_value=8),
+)
+def test_digit_sequence_rejects_denominator_sharing_p(case, k):
+    p, r = case
+    f = BranchMap(p, tuple((1, -d) for d in range(p)))
+    with pytest.raises(ValueError):
+        oracle_digit_sequence(f, r, k)
+    with pytest.raises(ValueError):
+        f.digit_sequence(r, k)
 
 
 def oracle_phi_truncated(f, w):
