@@ -12,6 +12,7 @@ and the one place that turns a library error into exit code 2.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +50,10 @@ UNDETERMINED = 3
 Result = tuple[int, str | None]
 
 _OUT_OF_MEMORY = f"out of memory (lower {SIZE_LIMIT_ENV} to refuse such requests up front)"
+
+# argparse's own pattern for an argument that is a negative number, not an
+# option (-1, -0.5), widened to negative fractions such as -1/3
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -256,6 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(path, func, help, formats=(), map_args=False) -> argparse.ArgumentParser:
         group, name = path.split()
         sub = groups[group].add_parser(name, help=help)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         if map_args:
             _add_map_args(sub)
         if formats:

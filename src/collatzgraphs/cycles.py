@@ -19,7 +19,7 @@ from math import gcd
 from .arith import Word
 from .limits import check_size
 from .maps import BranchMap, ScaledOrbit, an_plus_b_map, collatz_map
-from .words import is_primitive, lyndon_words
+from .words import _duval, is_primitive
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,17 @@ class RationalCycle:
         }
 
 
+def _compose(f: BranchMap, digits) -> tuple[int, int, int]:
+    """(A, B, p**k) with f^k(x) = (A*x + B) / p**k for every x whose orbit
+    takes the branches digits[0], ..., digits[k-1] in turn."""
+    a_total, b_total, power = 1, 0, 1
+    for d in digits:
+        a, b = f.branches[d]
+        a_total, b_total = a * a_total, a * b_total + b * power
+        power *= f.p
+    return a_total, b_total, power
+
+
 def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
     """The scaled integer orbit of the rational whose f-orbit traverses w.
 
@@ -62,12 +73,7 @@ def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
     k = len(w)
     if k < 1:
         raise ValueError("cycle word must be non-empty")
-    a_total, b_total = 1, 0
-    power = 1
-    for d in w:
-        a, b = f.branches[d]
-        a_total, b_total = a * a_total, a * b_total + b * power
-        power *= f.p
+    a_total, b_total, power = _compose(f, w.digits)
     if a_total == power:
         raise ValueError(f"word {w} is degenerate: multiplier product equals {power}")
     x = Fraction(b_total, power - a_total)
@@ -122,22 +128,50 @@ def collatz_cycle(w: Word) -> RationalCycle:
     return cycle
 
 
+_COLLATZ = collatz_map()
+
+
+def _denominator(w: tuple[int, ...]) -> int:
+    """The reduced denominator of B / (2**k - 3**h), the anchor of w's 3n+1
+    cycle, from the integer composition of w alone: no rational is built."""
+    a, b, power = _compose(_COLLATZ, w)
+    return abs(power - a) // gcd(b, power - a)
+
+
+def _census(max_len: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(w, b) for every binary Lyndon word w of length <= max_len, lazily, in
+    (length, lex) order: b is the denominator of w's 3n+1 cycle. Checks
+    max_len and charges the 2**max_len digits of the longest words against
+    the size budget at the call.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    check_size("cycle word digits", 1, 2, max_len)
+    return ((w, _denominator(w)) for k in range(1, max_len + 1) for w in _duval(2, k, (k,)))
+
+
+def _census_cycle(w: tuple[int, ...], b: int) -> RationalCycle:
+    """collatz_cycle of w, whose denominator the census computed as b."""
+    cycle = collatz_cycle(Word(2, w))
+    if cycle.b != b:
+        raise RuntimeError(f"cycle of {cycle.word} has denominator {cycle.b}, not {b}")
+    return cycle
+
+
 def collatz_cycles(max_len: int) -> Iterator[RationalCycle]:
     """The 3n+1 cycle of every binary Lyndon word of length <= max_len, one
     at a time, in (length, lex) word order. The 2**max_len digits of the
     longest words count against the size budget, checked at the call."""
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    check_size("cycle word digits", 1, 2, max_len)
-    return (collatz_cycle(w) for k in range(1, max_len + 1) for w in lyndon_words(2, k))
+    return (_census_cycle(w, b) for w, b in _census(max_len))
 
 
 def cycles_with_denominator(b: int, max_len: int) -> list[RationalCycle]:
     """All 3n+1 rational cycles of denominator exactly b indexed by binary
-    Lyndon words of length <= max_len, in (length, lex) word order."""
+    Lyndon words of length <= max_len, in (length, lex) word order. Only the
+    words whose census denominator is b become cycles."""
     if b < 1 or b % 2 == 0 or b % 3 == 0:
         raise ValueError(f"b must be positive, odd and coprime to 3, got {b}")
-    return [cycle for cycle in collatz_cycles(max_len) if cycle.b == b]
+    return [_census_cycle(w, c) for w, c in _census(max_len) if c == b]
 
 
 @dataclass(frozen=True)

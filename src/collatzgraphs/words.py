@@ -1,5 +1,7 @@
 """Lyndon words, necklace counting, and FKM De Bruijn sequences."""
 
+from collections.abc import Container
+
 from .arith import Word
 from .limits import check_size
 
@@ -73,17 +75,35 @@ def is_primitive(w: Word) -> bool:
     return all(d[:m] * (k // m) != d for m in _divisors(k) if m < k)
 
 
-def _duval(p: int, cap: int):
-    """All Lyndon words over {0..p-1} of length <= cap, in lexicographic order."""
+def _duval(p: int, cap: int, lengths: Container[int]):
+    """The Lyndon words over {0..p-1} of length <= cap whose length is in
+    lengths, in lexicographic order, as digit tuples. Duval's algorithm
+    visits every Lyndon word up to cap; only the kept ones become tuples."""
     w = [-1]
     while w:
         w[-1] += 1
-        yield tuple(w)
+        if len(w) in lengths:
+            yield tuple(w)
         m = len(w)
         while len(w) < cap:
             w.append(w[len(w) - m])
         while w and w[-1] == p - 1:
             w.pop()
+
+
+def _lyndon_lengths(p: int, k: int, mode: str) -> frozenset[int]:
+    """Validate (p, k, mode) and charge the p**k digits that the Lyndon words
+    of the kept lengths store at most; return those lengths."""
+    if p < 2 or k < 1:
+        raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
+    if mode == "exact":
+        lengths = frozenset((k,))
+    elif mode == "dividing":
+        lengths = frozenset(_divisors(k))
+    else:
+        raise ValueError(f'mode must be "exact" or "dividing", got {mode!r}')
+    check_size("Lyndon word digits", 1, p, k)
+    return lengths
 
 
 def lyndon_words(p: int, k: int, mode: str = "exact") -> list[Word]:
@@ -94,24 +114,15 @@ def lyndon_words(p: int, k: int, mode: str = "exact") -> list[Word]:
     stores at most p**k digits (exactly p**k when dividing), which is the
     count checked against the size budget.
     """
-    if p < 2 or k < 1:
-        raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
-    if mode == "exact":
-        keep = lambda n: n == k
-    elif mode == "dividing":
-        keep = lambda n: k % n == 0
-    else:
-        raise ValueError(f'mode must be "exact" or "dividing", got {mode!r}')
-    check_size("Lyndon word digits", 1, p, k)
-    return [Word(p, w) for w in _duval(p, k) if keep(len(w))]
+    return [Word(p, w) for w in _duval(p, k, _lyndon_lengths(p, k, mode))]
 
 
 def fkm_sequence(p: int, k: int) -> Word:
     """The FKM De Bruijn sequence of span k over p letters: the concatenation,
     in lexicographic order, of the Lyndon words whose length divides k."""
     digits: list[int] = []
-    for w in lyndon_words(p, k, mode="dividing"):
-        digits.extend(w.digits)
+    for w in _duval(p, k, _lyndon_lengths(p, k, "dividing")):
+        digits.extend(w)
     return Word(p, tuple(digits))
 
 
@@ -129,6 +140,15 @@ def is_debruijn_sequence(s: Word, p: int, k: int) -> bool:
     n = p**k
     if len(s) != n or any(d >= p for d in s.digits):
         return False
-    doubled = s.digits + s.digits[: k - 1]
-    windows = {doubled[i : i + k] for i in range(n)}
-    return len(windows) == n
+    # window i read as a base-p number, first digit most significant, rolled
+    # along the cyclic sequence: w -> (w*p + next digit) mod p**k
+    seen = bytearray(n)
+    w = 0
+    for d in s.digits[: k - 1]:
+        w = w * p + d
+    for d in s.digits[k - 1 :] + s.digits[: k - 1]:
+        w = (w * p + d) % n
+        if seen[w]:
+            return False
+        seen[w] = 1
+    return True

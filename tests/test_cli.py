@@ -194,6 +194,22 @@ def test_cycles_classify_undetermined(capsys):
     assert out == "undetermined\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        ("cycles classify", "--start", "-1/3"),
+        ("cycles classify --format json", "--start", "-5/7"),
+        ("conj phi", "--exact", "-1/5"),
+        ("conj phi --format json", "--exact", "-1/5"),
+    ],
+)
+def test_negative_rational_as_a_separate_argument(argv, option, value, capsys):
+    # argparse takes -1/3 for an option unless told it is a number
+    joined = run(capsys, *argv.split(), f"{option}={value}")
+    assert joined[0] == 0
+    assert run(capsys, *argv.split(), option, value) == joined
+
+
 def test_count_necklaces(capsys):
     code, out, _ = run(capsys, "count", "necklaces", "--p", "2", "--k", "6")
     assert (code, out) == (0, "9\n")

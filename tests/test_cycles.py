@@ -20,6 +20,7 @@ from collatzgraphs import (
     word_cycle,
 )
 
+from collatzgraphs import cycles
 from conftest import branch_maps, digit_words
 
 
@@ -155,6 +156,39 @@ def test_collatz_cycles_is_the_lyndon_word_census(monkeypatch):
     assert next(collatz_cycles(200)) == collatz_cycle(Word.from_str("0", 2))
     with pytest.raises(ValueError):
         collatz_cycles(0)
+
+
+def census_oracle(max_len):
+    """The census before the integer scan: build every word's cycle, in
+    (length, lex) order, from the Lyndon word lists."""
+    return [collatz_cycle(w) for k in range(1, max_len + 1) for w in lyndon_words(2, k)]
+
+
+def test_cycles_with_denominator_matches_the_full_census():
+    # every b <= 49 coprime to 6 at every length up to 12, against both the
+    # old census and the new one filtered afterwards
+    denominators = [b for b in range(1, 50) if gcd(b, 6) == 1]
+    missing = set()
+    for max_len in range(1, 13):
+        full = census_oracle(max_len)
+        assert list(collatz_cycles(max_len)) == full
+        for b in denominators:
+            found = cycles_with_denominator(b, max_len)
+            assert found == [c for c in full if c.b == b], (b, max_len)
+            if not found:
+                missing.add((b, max_len))
+    # the comparisons include empty answers, also at the longest length
+    assert {b for b, max_len in missing if max_len == 12} == {41}
+
+
+def test_census_denominator_is_checked_against_the_cycle(monkeypatch):
+    # a wrong integer denominator is an internal error, never a wrong answer
+    monkeypatch.setattr(cycles, "_denominator", lambda w: 5)
+    with pytest.raises(RuntimeError, match="denominator 1, not 5"):
+        cycles_with_denominator(5, 3)
+    with pytest.raises(RuntimeError):
+        next(collatz_cycles(3))
+    assert cycles_with_denominator(7, 3) == []
 
 
 def test_cycles_with_denominator_one():

@@ -135,6 +135,85 @@ def debruijn_oracle(s, p, k):
     return len({doubled[i : i + k] for i in range(n)}) == n
 
 
+# (p, largest k) with p**k at most a few thousand: p = 5 and 7 too
+SPANS = {2: 12, 3: 7, 4: 6, 5: 5, 6: 4, 7: 4}
+
+
+def lyndon_oracle(p, k, mode):
+    """Lyndon words before the length filter moved into Duval's loop: a tuple
+    for every word up to length k, filtered afterwards."""
+    keep = (lambda n: n == k) if mode == "exact" else (lambda n: k % n == 0)
+    found = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        found.append(tuple(w))
+        m = len(w)
+        while len(w) < k:
+            w.append(w[len(w) - m])
+        while w and w[-1] == p - 1:
+            w.pop()
+    return [Word(p, d) for d in found if keep(len(d))]
+
+
+def fkm_oracle(p, k):
+    """FKM before it streamed: concatenate the Lyndon word list."""
+    return Word(p, tuple(d for w in lyndon_oracle(p, k, "dividing") for d in w.digits))
+
+
+def test_lyndon_words_and_fkm_match_the_list_oracles():
+    for p, top in SPANS.items():
+        for k in range(1, top + 1):
+            for mode in ("exact", "dividing"):
+                assert lyndon_words(p, k, mode) == lyndon_oracle(p, k, mode), (p, k, mode)
+            assert fkm_sequence(p, k) == fkm_oracle(p, k), (p, k)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(SPANS)), st.data())
+def test_debruijn_verdict_on_near_misses(p, data):
+    # sequences of exact length p**k, next to a known De Bruijn sequence:
+    # rotations, reversals and digit relabelings keep it one, and a swap of
+    # two digits or one changed digit usually breaks it
+    k = data.draw(st.integers(1, SPANS[p]), label="k")
+    digits = list(fkm_sequence(p, k).digits)
+    n = len(digits)
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, n - 1), label="j")
+    relabel = data.draw(st.permutations(range(p)), label="relabel")
+    swapped = digits.copy()
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    changed = digits.copy()
+    changed[i] = (changed[i] + 1 + j % (p - 1)) % p
+    rotated = digits[i:] + digits[:i]
+    candidates = {
+        "swapped": swapped,
+        "changed": changed,
+        "rotated": rotated,
+        "reversed": rotated[::-1],
+        "relabeled": [relabel[d] for d in rotated],
+    }
+    for name, candidate in candidates.items():
+        s = Word(p, tuple(candidate))
+        assert is_debruijn_sequence(s, p, k) == debruijn_oracle(s, p, k), name
+    for name in ("rotated", "reversed", "relabeled"):
+        assert is_debruijn_sequence(Word(p, tuple(candidates[name])), p, k), name
+    assert not is_debruijn_sequence(Word(p, tuple(changed)), p, k)
+
+
+def test_debruijn_near_misses_for_p_five_and_seven():
+    # fixed cases, so p = 5 and 7 are covered whatever hypothesis draws
+    for p, k in ((5, 3), (5, 5), (7, 2), (7, 4)):
+        digits = fkm_sequence(p, k).digits
+        n = len(digits)
+        assert is_debruijn_sequence(Word(p, digits[n // 3 :] + digits[: n // 3]), p, k)
+        for i, j in ((0, n - 1), (1, n // 2), (n // 3, n // 3 + 1)):
+            swapped = list(digits)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            s = Word(p, tuple(swapped))
+            assert is_debruijn_sequence(s, p, k) == debruijn_oracle(s, p, k) == (swapped == list(digits))
+
+
 @settings(max_examples=200)
 @given(st.sampled_from((2, 3, 4)), st.integers(1, 6), st.integers(0, 40), st.randoms())
 def test_debruijn_verdict_matches_oracle(p, k, length, rng):
