@@ -106,15 +106,28 @@ def _lyndon_lengths(p: int, k: int, mode: str) -> frozenset[int]:
     return lengths
 
 
+# One shared digit tuple per distinct Lyndon word handed out: lists of the
+# same Lyndon words held at once (a caller keeping an earlier enumeration)
+# store each word's digits once, not once per list. Emptied once it passes
+# _INTERN_CAP words, so it holds at most that plus one enumeration.
+_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+_INTERN_CAP = 1 << 15
+
+
 def lyndon_words(p: int, k: int, mode: str = "exact") -> list[Word]:
     """Lyndon words over p letters in lexicographic order.
 
     mode "exact" keeps length k only; mode "dividing" keeps lengths dividing
     k, which is the concatenation order of the FKM construction. Either
     stores at most p**k digits (exactly p**k when dividing), which is the
-    count checked against the size budget.
+    count checked against the size budget. Equal words from different calls
+    share their digit tuple.
     """
-    return [Word(p, w) for w in _duval(p, k, _lyndon_lengths(p, k, mode))]
+    lengths = _lyndon_lengths(p, k, mode)
+    if len(_interned) > _INTERN_CAP:
+        _interned.clear()
+    share = _interned.setdefault
+    return [Word(p, share(w, w)) for w in _duval(p, k, lengths)]
 
 
 def fkm_sequence(p: int, k: int) -> Word:

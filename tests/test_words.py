@@ -15,6 +15,7 @@ from collatzgraphs import (
     mobius,
     necklace_count,
 )
+from collatzgraphs import words
 from collatzgraphs.words import _divisors
 
 
@@ -90,6 +91,18 @@ def test_lyndon_words_dividing_mode():
     assert [str(w) for w in words] == ["0", "0001", "0011", "01", "0111", "1"]
     with pytest.raises(ValueError):
         lyndon_words(2, 4, mode="other")
+
+
+def test_repeated_lyndon_words_share_digit_tuples(monkeypatch):
+    first = lyndon_words(2, 10, mode="dividing")
+    again = lyndon_words(2, 10, mode="dividing")
+    assert again == first
+    assert all(a is not b and a.digits is b.digits for a, b in zip(first, again))
+    # past the cap the table starts over, and holds at most one more enumeration
+    monkeypatch.setattr(words, "_INTERN_CAP", 10)
+    for k in (7, 8, 8):
+        assert [w.digits for w in lyndon_words(2, k)] == brute_lyndon(2, k)
+        assert len(words._interned) <= 10 + len(brute_lyndon(2, k))
 
 
 def test_lyndon_words_are_sorted_lexicographically():
