@@ -40,16 +40,29 @@ def residue(x: int | Fraction, m: int) -> int:
     return x.numerator * mod_inverse(x.denominator, m) % m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A finite digit word over the alphabet {0..base-1}.
 
     Words double as truncated residues: a word of length N denotes its value
     sum(digits[i] * base**i), a canonical representative mod base**N.
+
+    The public constructor validates the base and every digit. Word._of
+    skips that check: it is only for digits the library computed itself, as
+    a tuple of ints in range(base) with base >= 2 (Duval's loop, a divmod by
+    the base, a residue mod p, a reversal of a valid word).
     """
 
     base: int
     digits: tuple[int, ...]
+
+    @classmethod
+    def _of(cls, base: int, digits: tuple[int, ...]) -> "Word":
+        """A Word of trusted digits, built without __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "base", base)
+        object.__setattr__(w, "digits", digits)
+        return w
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(self.digits))
@@ -80,11 +93,13 @@ class Word:
         return v
 
     def reversed(self) -> "Word":
-        return Word(self.base, self.digits[::-1])
+        return Word._of(self.base, self.digits[::-1])
 
     @classmethod
     def from_int(cls, n: int, base: int, length: int) -> "Word":
         """The length-digit word of the canonical residue of n mod base**length."""
+        if base < 2:
+            raise ValueError(f"base must be at least 2, got {base}")
         if length < 0:
             raise ValueError(f"length must be nonnegative, got {length}")
         n %= base**length
@@ -92,7 +107,7 @@ class Word:
         for _ in range(length):
             n, d = divmod(n, base)
             digits.append(d)
-        return cls(base, tuple(digits))
+        return cls._of(base, tuple(digits))
 
     @classmethod
     def from_str(cls, text: str, base: int) -> "Word":

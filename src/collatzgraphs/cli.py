@@ -99,6 +99,16 @@ def _formatted(args: argparse.Namespace, jsonable, text) -> str:
     return json.dumps(jsonable()) if args.format == "json" else text()
 
 
+def _word(args: argparse.Namespace, word: Word) -> Result:
+    return OK, _formatted(args, lambda: {"word": str(word)}, lambda: str(word))
+
+
+def _undetermined(args: argparse.Namespace) -> Result:
+    return UNDETERMINED, _formatted(
+        args, lambda: {"undetermined": True, "max_steps": args.max_steps}, lambda: "undetermined"
+    )
+
+
 def _verdict(ok: bool, detail: str = "") -> Result:
     if ok:
         return OK, "true"
@@ -149,16 +159,18 @@ def _run_conj_verify(args: argparse.Namespace) -> Result:
 def _run_conj_phi(args: argparse.Namespace) -> Result:
     f = _resolve_map(args)
     if args.word is not None:
-        return OK, str(phi_truncated(f, Word.from_str(args.word, f.p)))
+        return _word(args, phi_truncated(f, Word.from_str(args.word, f.p)))
     if args.invert is not None:
+        target = Word.from_str(args.invert, f.p)
         try:
-            return OK, str(phi_inverse_truncated(f, Word.from_str(args.invert, f.p)))
+            preimage = phi_inverse_truncated(f, target)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return FALSE, None
+        return _word(args, preimage)
     result = phi_exact(f, _parse_rational(args.exact), max_steps=args.max_steps)
     if result is None:
-        return UNDETERMINED, "undetermined"
+        return _undetermined(args)
     return OK, _formatted(
         args,
         lambda: {
@@ -181,7 +193,14 @@ def _run_seq_verify(args: argparse.Namespace) -> Result:
 
 
 def _run_count_necklaces(args: argparse.Namespace) -> Result:
-    return OK, str(necklace_count(args.p, args.k))
+    count = necklace_count(args.p, args.k)
+    try:
+        return OK, str(count)
+    except ValueError:
+        raise ValueError(
+            f"the count has more decimal digits than Python's int-to-str digit limit "
+            f"({sys.get_int_max_str_digits()}); set PYTHONINTMAXSTRDIGITS=0 to lift it"
+        ) from None
 
 
 def _run_words_lyndon(args: argparse.Namespace) -> Result:
@@ -204,7 +223,7 @@ def _run_cycles_classify(args: argparse.Namespace) -> Result:
     f = _resolve_map(args)
     result = classify_orbit(f, _parse_rational(args.start), max_steps=args.max_steps)
     if result is None:
-        return UNDETERMINED, "undetermined"
+        return _undetermined(args)
     return OK, _formatted(
         args,
         lambda: {"cycle": result.cycle.to_jsonable(), "preperiod": result.preperiod},

@@ -99,7 +99,7 @@ class BranchMap:
         for _ in range(k):
             digits.append(x % p)
             x = self.apply(x)
-        return Word(p, tuple(digits))
+        return Word._of(p, tuple(digits))
 
     def scaled_orbit(self, r: int | Fraction, max_steps: int) -> ScaledOrbit | None:
         """Iterate r = n/q through its integer numerator until a state repeats.

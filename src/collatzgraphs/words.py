@@ -127,7 +127,8 @@ def lyndon_words(p: int, k: int, mode: str = "exact") -> list[Word]:
     if len(_interned) > _INTERN_CAP:
         _interned.clear()
     share = _interned.setdefault
-    return [Word(p, share(w, w)) for w in _duval(p, k, lengths)]
+    of = Word._of
+    return [of(p, share(w, w)) for w in _duval(p, k, lengths)]
 
 
 def fkm_sequence(p: int, k: int) -> Word:
@@ -136,14 +137,17 @@ def fkm_sequence(p: int, k: int) -> Word:
     digits: list[int] = []
     for w in _duval(p, k, _lyndon_lengths(p, k, "dividing")):
         digits.extend(w)
-    return Word(p, tuple(digits))
+    return Word._of(p, tuple(digits))
 
 
 def is_debruijn_sequence(s: Word, p: int, k: int) -> bool:
     """Does every length-k word over p letters occur exactly once cyclically in s?
 
     Requires length exactly p**k with digits below p; a verdict, not an error,
-    on any failure.
+    on any failure. Then the p**k cyclic windows, read as base-p codes, are
+    p**k values in range(p**k): they are pairwise distinct exactly when they
+    cover the whole range. So the scan only marks each code and checks at the
+    end that no code went unmarked.
     """
     if p < 2 or k < 1:
         raise ValueError(f"need p >= 2 and k >= 1, got p={p}, k={k}")
@@ -161,7 +165,5 @@ def is_debruijn_sequence(s: Word, p: int, k: int) -> bool:
         w = w * p + d
     for d in s.digits[k - 1 :] + s.digits[: k - 1]:
         w = (w * p + d) % n
-        if seen[w]:
-            return False
         seen[w] = 1
-    return True
+    return 0 not in seen

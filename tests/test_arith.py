@@ -1,6 +1,10 @@
 """Digit words, periodic digit streams, and modular/rational arithmetic."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,13 +12,15 @@ from hypothesis import given, strategies as st
 from collatzgraphs import (
     PeriodicDigits,
     Word,
+    fkm_sequence,
+    lyndon_words,
     mod_inverse,
     padic_digits,
     periodic_expansion,
     residue,
 )
 
-from conftest import digit_words
+from conftest import branch_maps, digit_words
 
 
 def test_word_value_is_little_endian():
@@ -51,6 +57,67 @@ def test_word_rejects_out_of_range_digits():
         Word(2, (0, 2))
     with pytest.raises(ValueError):
         Word(1, (0,))
+
+
+def test_word_from_int_rejects_a_base_below_two():
+    for base in (1, 0, -2):
+        with pytest.raises(ValueError, match="base must be at least 2"):
+            Word.from_int(5, base, 3)
+
+
+def assert_validated(w):
+    """w is a word the validating constructor accepts, with a tuple of ints."""
+    assert type(w.digits) is tuple
+    assert all(type(d) is int for d in w.digits)
+    assert w == Word(w.base, w.digits)
+
+
+@given(st.integers(2, 5), st.integers(1, 6), st.sampled_from(("exact", "dividing")))
+def test_lyndon_words_and_fkm_build_valid_words(p, k, mode):
+    for w in lyndon_words(p, k, mode):
+        assert_validated(w)
+    assert_validated(fkm_sequence(p, k))
+
+
+@given(branch_maps(), st.integers(-(10**12), 10**12), st.integers(1, 50), st.integers(0, 30))
+def test_digit_sequence_builds_valid_words(f, n, q, k):
+    assert_validated(f.digit_sequence(n, k))
+    if gcd(q, f.p) == 1:
+        assert_validated(f.digit_sequence(Fraction(n, q), k))
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(2, 40), st.integers(0, 40))
+def test_from_int_builds_valid_words(n, base, length):
+    assert_validated(Word.from_int(n, base, length))
+
+
+@given(digit_words(max_len=20))
+def test_reversed_builds_valid_words(w):
+    assert_validated(w.reversed())
+    assert w.reversed().reversed() == w
+
+
+def test_word_is_slotted_and_frozen():
+    trusted = lyndon_words(2, 5)[3]
+    for w in (Word.from_str("00111", 2), trusted):
+        assert not hasattr(w, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            w.base = 3
+        with pytest.raises(FrozenInstanceError):
+            w.digits = (1,)
+    assert trusted == Word.from_str("00111", 2)
+    assert hash(trusted) == hash(Word.from_str("00111", 2))
+    assert hash(Word.from_int(13, 2, 5)) == hash(Word(2, [1, 0, 1, 1, 0]))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_word_pickle_and_copy_round_trip(protocol):
+    for w in (Word.from_str("2,10,0", 11), fkm_sequence(3, 2), Word(2, ())):
+        for twin in (pickle.loads(pickle.dumps(w, protocol)), copy.copy(w), copy.deepcopy(w)):
+            assert twin == w
+            assert hash(twin) == hash(w)
+            assert type(twin.digits) is tuple
+            assert str(twin) == str(w)
 
 
 @given(digit_words())

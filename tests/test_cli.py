@@ -1,11 +1,19 @@
 """The command-line surface: outputs, formats, and exit codes."""
 
 import json
+import sys
 import time
 
 import pytest
 
-from collatzgraphs import cli, graph_from_json, map_to_json, modular_graph, original_collatz_map
+from collatzgraphs import (
+    cli,
+    graph_from_json,
+    map_to_json,
+    modular_graph,
+    necklace_count,
+    original_collatz_map,
+)
 from collatzgraphs.cli import main
 
 from conftest import run_python
@@ -65,6 +73,25 @@ def test_phi_word_and_inverse(capsys):
     assert (code, out) == (0, "10010\n")
     code, out, _ = run(capsys, "conj", "phi", "--map", "collatz", "--invert", "10010")
     assert (code, out) == (0, "10110\n")
+
+
+def test_phi_word_and_inverse_json(capsys):
+    code, out, _ = run(capsys, "conj", "phi", "--word", "10110", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"word": "10010"})
+    code, out, _ = run(capsys, "conj", "phi", "--invert", "10010", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"word": "10110"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "conj phi --exact 27 --max-steps 5",
+        "cycles classify --map an+b --a 5 --b 1 --start 7 --max-steps 5",
+    ],
+)
+def test_undetermined_json(argv, capsys):
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert (code, json.loads(out)) == (3, {"undetermined": True, "max_steps": 5})
 
 
 def test_phi_exact_undetermined(capsys):
@@ -222,6 +249,22 @@ def test_count_necklaces_huge_k_fails_fast(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_count_necklaces_past_the_int_to_str_limit(capsys, monkeypatch):
+    # about 6000 decimal digits: within the size budget, past Python's
+    # default int-to-str limit of 4300 digits
+    code, out, err = run(capsys, "count", "necklaces", "--p", "2", "--k", "20000")
+    assert (code, out) == (2, "")
+    assert "int-to-str digit limit" in err and "PYTHONINTMAXSTRDIGITS" in err
+    limit = sys.get_int_max_str_digits()
+    try:
+        # what PYTHONINTMAXSTRDIGITS=0 does at start-up
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "count", "necklaces", "--p", "2", "--k", "20000")
+        assert (code, out) == (0, f"{necklace_count(2, 20000)}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_words_lyndon(capsys):

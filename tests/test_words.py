@@ -227,6 +227,41 @@ def test_debruijn_near_misses_for_p_five_and_seven():
             assert is_debruijn_sequence(s, p, k) == debruijn_oracle(s, p, k) == (swapped == list(digits))
 
 
+def one_repeat(p, k, c, d):
+    """A length-p**k sequence whose cyclic windows are those of a De Bruijn
+    sequence with c**k twice and d**k missing: the FKM sequence with its run of
+    k digits c lengthened by one and its run of k digits d shortened by one.
+    For k >= 2 only constant windows can trade places like this: a cyclic
+    sequence is a closed walk in the De Bruijn graph, which stays balanced
+    only when the doubled and the dropped edge are both loops."""
+    digits = fkm_sequence(p, k).digits
+
+    def rotated_to_run(s, digit):
+        doubled = s + s[: k - 1]
+        i = next(i for i in range(len(s)) if doubled[i : i + k] == (digit,) * k)
+        return s[i:] + s[:i]
+
+    longer = (c,) + rotated_to_run(digits, c)
+    return rotated_to_run(longer, d)[1:]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_debruijn_verdict_when_exactly_one_window_repeats(p, data):
+    # the scan marks one flag per window and checks that none is unset at the
+    # end; here exactly one flag is unset
+    k = data.draw(st.integers(1, SPANS[p]), label="k")
+    c, d = data.draw(st.permutations(range(p)), label="digits")[:2]
+    digits = one_repeat(p, k, c, d)
+    i = data.draw(st.integers(0, len(digits) - 1), label="rotation")
+    s = Word(p, digits[i:] + digits[:i])
+    doubled = s.digits + s.digits[: k - 1]
+    windows = [doubled[j : j + k] for j in range(p**k)]
+    assert len(s) == p**k and len(set(windows)) == p**k - 1
+    assert windows.count((c,) * k) == 2 and (d,) * k not in windows
+    assert is_debruijn_sequence(s, p, k) is debruijn_oracle(s, p, k) is False
+
+
 @settings(max_examples=200)
 @given(st.sampled_from((2, 3, 4)), st.integers(1, 6), st.integers(0, 40), st.randoms())
 def test_debruijn_verdict_matches_oracle(p, k, length, rng):
