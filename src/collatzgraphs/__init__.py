@@ -10,7 +10,6 @@ and rendered words put position 0 leftmost, so "10110" in base 2 is 13.
 from .arith import (
     PeriodicDigits,
     Word,
-    mod_inverse,
     padic_digits,
     periodic_expansion,
     residue,
@@ -51,7 +50,6 @@ from .limits import ResourceLimitError, size_limit
 from .maps import (
     PRESETS,
     BranchMap,
-    ScaledOrbit,
     an_plus_b_map,
     collatz_map,
     map_from_json,
@@ -61,9 +59,7 @@ from .maps import (
     standard_map,
 )
 from .spectral import (
-    adjacency_matrix,
     check_uniform_power,
-    matrix_power,
     uniform_power_violation,
 )
 from .words import (
@@ -87,10 +83,8 @@ __all__ = [
     "Permutation",
     "PhiExactResult",
     "RationalCycle",
-    "ScaledOrbit",
     "ResourceLimitError",
     "Word",
-    "adjacency_matrix",
     "an_plus_b_map",
     "check_isomorphism",
     "check_uniform_power",
@@ -114,9 +108,7 @@ __all__ = [
     "lyndon_words",
     "map_from_json",
     "map_to_json",
-    "matrix_power",
     "mobius",
-    "mod_inverse",
     "modular_graph",
     "necklace_count",
     "original_collatz_map",

@@ -18,26 +18,21 @@ from math import gcd
 from .limits import check_size
 
 
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m, in {0..m-1}. Raises ValueError unless gcd(a, m) = 1."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m}") from None
-
-
 def residue(x: int | Fraction, m: int) -> int:
     """Canonical residue of x in {0..m-1}.
 
     For a rational, the residue is numerator * denominator**-1 mod m, which
-    requires the denominator to be a unit mod m.
+    requires the denominator to be a unit mod m (ValueError otherwise).
     """
     if isinstance(x, int):
         return x % m
     x = Fraction(x)
-    return x.numerator * mod_inverse(x.denominator, m) % m
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
+    try:
+        return x.numerator * pow(x.denominator, -1, m) % m
+    except ValueError:
+        raise ValueError(f"{x.denominator} is not invertible modulo {m}") from None
 
 
 @dataclass(frozen=True, slots=True)

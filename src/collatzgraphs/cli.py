@@ -50,6 +50,11 @@ UNDETERMINED = 3
 Result = tuple[int, str | None]
 
 _OUT_OF_MEMORY = f"out of memory (lower {SIZE_LIMIT_ENV} to refuse such requests up front)"
+# the interpreter's own text for this error points to a Python call
+_INT_TO_STR = (
+    "a number has more decimal digits than Python's int-to-str digit limit ({});"
+    " set PYTHONINTMAXSTRDIGITS=0 to lift it"
+)
 
 # argparse's own pattern for an argument that is a negative number, not an
 # option (-1, -0.5), widened to negative fractions such as -1/3
@@ -193,14 +198,7 @@ def _run_seq_verify(args: argparse.Namespace) -> Result:
 
 
 def _run_count_necklaces(args: argparse.Namespace) -> Result:
-    count = necklace_count(args.p, args.k)
-    try:
-        return OK, str(count)
-    except ValueError:
-        raise ValueError(
-            f"the count has more decimal digits than Python's int-to-str digit limit "
-            f"({sys.get_int_max_str_digits()}); set PYTHONINTMAXSTRDIGITS=0 to lift it"
-        ) from None
+    return OK, str(necklace_count(args.p, args.k))
 
 
 def _run_words_lyndon(args: argparse.Namespace) -> Result:
@@ -358,7 +356,12 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(text)
         return code
     except (ValueError, ResourceLimitError, OSError, MemoryError) as exc:
-        message = _OUT_OF_MEMORY if isinstance(exc, MemoryError) else exc
+        if isinstance(exc, MemoryError):
+            message = _OUT_OF_MEMORY
+        elif isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            message = _INT_TO_STR.format(sys.get_int_max_str_digits())
+        else:
+            message = exc
         print(f"error: {message}", file=sys.stderr)
         return USAGE
 

@@ -67,6 +67,9 @@ def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
     actually take branch w_i at step i and to return after k steps, so its
     orbit is a pure cycle spelling w (repeated, when w is a power of a shorter
     word); a mismatch is an internal error, not bad input.
+
+    The k stored states are fractions of B and p**k - A, so each is charged
+    as the 64-bit words of the larger of the two before any state is stored.
     """
     if w.base != f.p:
         raise ValueError(f"word base {w.base} does not match p={f.p}")
@@ -76,6 +79,8 @@ def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
     a_total, b_total, power = _compose(f, w.digits)
     if a_total == power:
         raise ValueError(f"word {w} is degenerate: multiplier product equals {power}")
+    bits = max(b_total.bit_length(), (power - a_total).bit_length())
+    check_size("cycle state machine words", k * -(-bits // 64))
     x = Fraction(b_total, power - a_total)
     orbit = f.scaled_orbit(x, k)
     if orbit is None or orbit.start != 0 or orbit.digits * (k // len(orbit.digits)) != list(w):

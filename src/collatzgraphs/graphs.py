@@ -10,9 +10,9 @@ constructor, which hand-made and parsed graphs go through, validates and
 deduplicates its (source, target, label) triples in one pass over one set.
 Graphs are never modified once built.
 
-Builders count what they will store (edges, or the vertices of a restricted
-graph) against the size budget of limits.py before building anything, so a
-typo cannot ask for a 2**40-edge graph.
+Builders count what they will store (edges, or the vertices of a restricted,
+hand-made or parsed graph) against the size budget of limits.py before
+building anything, so a typo cannot ask for a 2**40-edge graph.
 """
 
 import json
@@ -58,6 +58,8 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        # export, line graphs and degree lists hold one entry per vertex
+        check_size("graph vertices", n)
         triples = set()
         for s, t, label in edges:
             if not (0 <= s < n and 0 <= t < n):
@@ -122,13 +124,6 @@ class Digraph:
             pair, label = divmod(key, span)
             s, t = divmod(pair, n)
             yield s, t, label - 1
-
-    def sorted_edges(self) -> list[Edge]:
-        """Edges in the canonical (source, target, label) order used for export."""
-        return [
-            (s, t, None if label == NO_LABEL else label)
-            for s, t, label in self._canonical_triples()
-        ]
 
     def simple_edges(self) -> frozenset[tuple[int, int]]:
         """The (source, target) projection as a set."""

@@ -2,8 +2,9 @@
 
 Every object in this package lives on the p**k residues of a p-ary De Bruijn
 graph, so every size grows exponentially in k. Each builder counts what it
-stores (edges, permutation or matrix entries, orbit states, digits) and
-checks that count against size_limit() before it builds anything. The
+stores (vertices, edges, permutation or matrix entries, orbit states, digits)
+and checks that count against size_limit() before it builds anything; stored
+big integers count as their 64-bit machine words. The
 default, 2**22 items, keeps the largest graph it admits (2**22 edges, about
 420 bytes each while built and exported) under 2 GiB; set
 COLLATZGRAPHS_SIZE_LIMIT to change it.

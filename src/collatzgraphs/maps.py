@@ -8,8 +8,7 @@ conditions make a coefficient table admissible:
 * gcd(a_i, p) = 1, which makes the p lifts of a residue hit p distinct
   targets one level up. That is the property the conjugacy machinery needs.
 
-Maps evaluate on integers, on rationals with denominator coprime to p, and on
-truncated residues (digit words).
+Maps evaluate on integers and on rationals with denominator coprime to p.
 
 A rational orbit is an integer orbit in disguise: for r = n/q with gcd(q, p) = 1,
 f(n/q) = f_q(n)/q where f_q sends n to (a_i * n + b_i * q) / p on the branch
@@ -60,29 +59,13 @@ class BranchMap:
                     f"branch {i}: a*i+b = {a * i + b} is not divisible by p={self.p}"
                 )
 
-    def residue(self, x: int | Fraction) -> int:
-        """Which branch x takes: its residue mod p."""
-        return residue(x, self.p)
-
     def apply(self, x: int | Fraction) -> int | Fraction:
         """One forward step. Exact: integer in, integer out."""
         if isinstance(x, int):
             a, b = self.branches[x % self.p]
             return (a * x + b) // self.p
-        a, b = self.branches[self.residue(x)]
+        a, b = self.branches[residue(x, self.p)]
         return (a * x + b) / self.p
-
-    def apply_word(self, w: Word) -> Word:
-        """Forward step on a truncated residue.
-
-        An N-digit word stands for a residue mod p**N; its image is well
-        defined mod p**(N-1), one digit shorter.
-        """
-        if w.base != self.p:
-            raise ValueError(f"word base {w.base} does not match p={self.p}")
-        if len(w) == 0:
-            raise ValueError("cannot step an empty word")
-        return Word.from_int(self.apply(w.value()), self.p, len(w) - 1)
 
     def digit_sequence(self, x: int | Fraction, k: int) -> Word:
         """The word x_0 .. x_{k-1} of orbit residues: x_i = (i-th iterate) mod p.

@@ -14,7 +14,6 @@ from collatzgraphs import (
     Word,
     fkm_sequence,
     lyndon_words,
-    mod_inverse,
     padic_digits,
     periodic_expansion,
     residue,
@@ -132,10 +131,13 @@ def test_word_value_is_residue(n, base):
 
 
 def test_mod_inverse():
-    assert mod_inverse(3, 8) == 3
-    assert (mod_inverse(7, 100) * 7) % 100 == 1
-    with pytest.raises(ValueError):
-        mod_inverse(2, 8)
+    # a rational's residue needs its denominator's inverse mod m
+    assert residue(Fraction(1, 3), 8) == 3
+    assert residue(Fraction(1, 7), 100) * 7 % 100 == 1
+    with pytest.raises(ValueError, match="2 is not invertible modulo 8"):
+        residue(Fraction(1, 2), 8)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        residue(Fraction(1, 3), 0)
 
 
 def test_residue_of_fractions():

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, formats, and exit codes."""
 
 import json
+import random
 import sys
 import time
 
@@ -267,6 +268,21 @@ def test_count_necklaces_past_the_int_to_str_limit(capsys, monkeypatch):
         sys.set_int_max_str_digits(limit)
 
 
+def test_cycles_from_word_past_the_int_to_str_limit(capsys):
+    # 3000 digits: within the size budget, but the cycle's numbers have
+    # about 900 decimal digits, past the lowest limit Python allows
+    rng = random.Random(3000)
+    word = "".join(rng.choice("01") for _ in range(3000))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, "cycles", "from-word", word)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert "int-to-str digit limit (640)" in err and "PYTHONINTMAXSTRDIGITS" in err
+
+
 def test_words_lyndon(capsys):
     code, out, _ = run(capsys, "words", "lyndon", "--p", "2", "--k", "4", "--mode", "dividing")
     assert code == 0
@@ -348,3 +364,27 @@ def test_oversized_requests_fail_fast_naming_the_budget(argv, capsys, monkeypatc
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "COLLATZGRAPHS_SIZE_LIMIT" in err
+
+
+def test_graph_vertex_count_is_charged(tmp_path, capsys, monkeypatch):
+    # no edges, but export and the line graph hold one entry per vertex
+    monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
+    source = tmp_path / "g.json"
+    source.write_text('{"m": 1099511627776, "edges": []}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", "line", "--input", str(source))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "graph vertices" in err and "COLLATZGRAPHS_SIZE_LIMIT" in err
+
+
+def test_long_cycle_word_is_charged_for_its_big_integers(capsys, monkeypatch):
+    # 50000 states of about 50000 bits each: refused after the composition
+    monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
+    rng = random.Random(50000)
+    word = "".join(rng.choice("01") for _ in range(50000))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cycles", "from-word", word)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "machine words" in err and "COLLATZGRAPHS_SIZE_LIMIT" in err

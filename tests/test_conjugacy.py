@@ -19,6 +19,7 @@ from collatzgraphs import (
     phi_exact,
     phi_inverse_truncated,
     phi_truncated,
+    residue,
     shift_map,
     verify_conjugacy,
 )
@@ -150,7 +151,7 @@ def oracle_phi_inverse_truncated(f, target):
             cur = value + c * weight
             for _ in range(j):
                 cur = f.apply(cur)
-            if f.residue(cur) == target[j]:
+            if residue(cur, f.p) == target[j]:
                 hits.append(c)
         assert len(hits) == 1
         digits.append(hits[0])

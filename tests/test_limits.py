@@ -9,10 +9,11 @@ import pytest
 from collatzgraphs import (
     Digraph,
     ResourceLimitError,
-    adjacency_matrix,
+    Word,
     collatz_cycles,
     collatz_map,
     conjugacy_permutation,
+    cycle_from_word,
     debruijn_graph,
     digit_reversal_permutation,
     fkm_sequence,
@@ -20,7 +21,6 @@ from collatzgraphs import (
     graph_to_json,
     line_graph,
     lyndon_words,
-    matrix_power,
     modular_graph,
     necklace_count,
     original_collatz_map,
@@ -44,6 +44,7 @@ BUILDS = {
     "line_graph": (lambda: line_graph(debruijn_graph(2, 2)), 8 * 2),
     "line_graph with a sink": (lambda: line_graph(SINK_GRAPH), 1),
     "restricted_graph": (lambda: restricted_graph(collatz_map(), 10), 10),
+    "Digraph": (lambda: Digraph(7, ()), 7),
     "graph_from_json": (lambda: graph_from_json(GRAPH_JSON), 2 * 3),
     "conjugacy_permutation p=2": (lambda: conjugacy_permutation(collatz_map(), 4), 2**4),
     "conjugacy_permutation p=3": (lambda: conjugacy_permutation(original_collatz_map(), 2), 3**2),
@@ -53,8 +54,8 @@ BUILDS = {
     "fkm_sequence": (lambda: fkm_sequence(2, 4), 2**4),
     "necklace_count": (lambda: necklace_count(3, 6), 6),
     "collatz_cycles": (lambda: collatz_cycles(5), 2**5),
-    "adjacency_matrix": (lambda: adjacency_matrix(modular_graph(collatz_map(), 4)), 4 * 4),
-    "matrix_power": (lambda: matrix_power([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 5), 3 * 3),
+    # 70 states, each charged as the 2 words of a 111-bit 2**70 - 3**70
+    "cycle_from_word": (lambda: cycle_from_word(collatz_map(), Word(2, (1,) * 70)), 70 * 2),
     "uniform_power_violation": (lambda: uniform_power_violation(collatz_map(), 3, 4), 8 * 8),
     "periodic_expansion": (lambda: periodic_expansion(Fraction(13, 7), 2), 4 + 7 + 2),
 }

@@ -92,19 +92,6 @@ def test_digit_sequence_known_values():
     assert shift_map().digit_sequence(13, 5) == Word.from_str("10110", 2)
 
 
-def test_apply_word_drops_one_digit():
-    t = collatz_map()
-    w = Word.from_str("10110", 2)
-    assert len(t.apply_word(w)) == 4
-
-
-@given(branch_maps(), st.integers(min_value=-10**6, max_value=10**6), st.integers(1, 6))
-def test_apply_word_commutes_with_truncation(f, n, k):
-    # f(n) mod p^(k-1) is determined by n mod p^k, which is the whole point
-    w = Word.from_int(n, f.p, k)
-    assert f.apply_word(w) == Word.from_int(f.apply(n), f.p, k - 1)
-
-
 @given(branch_maps(), st.integers(min_value=-10**6, max_value=10**6))
 def test_apply_matches_selected_branch(f, n):
     i = n % f.p

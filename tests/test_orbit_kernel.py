@@ -86,7 +86,7 @@ def oracle_phi_exact(f, r, max_steps=BUDGET):
         if len(digits) >= max_steps:
             return None
         seen[state] = len(digits)
-        digits.append(f.residue(state))
+        digits.append(residue(state, f.p))
         state = f.apply(state)
 
 
@@ -170,7 +170,7 @@ def test_scaled_orbit_states_are_the_iterates(case):
     assert orbit.q == x.denominator
     for n, d in zip(orbit.states, orbit.digits):
         assert Fraction(n, orbit.q) == x
-        assert d == f.residue(x)
+        assert d == residue(x, f.p)
         x = f.apply(x)
     assert x == Fraction(orbit.states[orbit.start], orbit.q)
     assert len(set(orbit.states)) == len(orbit.states)
@@ -258,7 +258,7 @@ def test_padic_digits_match_digit_extraction(case, n):
 def oracle_digit_sequence(f, x, k):
     digits = []
     for _ in range(k):
-        digits.append(f.residue(x))
+        digits.append(residue(x, f.p))
         x = f.apply(x)
     return Word(f.p, tuple(digits))
 
@@ -290,7 +290,7 @@ def oracle_phi_truncated(f, w):
         digits.append(cur[0])
         if len(cur) == 1:
             break
-        cur = f.apply_word(cur)
+        cur = Word.from_int(f.apply(cur.value()), f.p, len(cur) - 1)
     return Word(f.p, tuple(digits))
 
 

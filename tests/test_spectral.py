@@ -1,14 +1,12 @@
-"""Exact adjacency matrices and uniform walk-count checks."""
+"""Uniform walk-count checks, and the dense matrix oracle they are checked against."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzgraphs import (
     ResourceLimitError,
-    adjacency_matrix,
     check_uniform_power,
     collatz_map,
-    matrix_power,
     modular_graph,
     original_collatz_map,
     size_limit,
@@ -16,6 +14,7 @@ from collatzgraphs import (
 )
 
 from conftest import branch_maps
+from dense import adjacency_matrix, matrix_power
 
 
 def naive_matmul(a, b):
