@@ -11,7 +11,6 @@ so the leftmost digit of a rendered word is the least significant one. In
 base 2 the word "10110" denotes 1 + 4 + 8 = 13.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -35,8 +34,52 @@ def residue(x: int | Fraction, m: int) -> int:
         raise ValueError(f"{x.denominator} is not invertible modulo {m}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its fields, in order, as its __slots__ and stores them
+    in __init__ with object.__setattr__. Equality (same class only), hashing,
+    the Name(field=value, ...) repr and pickling all derive from those
+    fields; unpickling and copying go back through the subclass constructor,
+    so they validate as it does. Assigning or deleting a field raises
+    dataclasses.FrozenInstanceError. Records that validate or canonicalise
+    do it in __post_init__, which __init__ calls last (the benchmark's trace
+    counts constructions by that name).
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        # imported here so that importing the package never loads dataclasses
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Word(_Record):
     """A finite digit word over the alphabet {0..base-1}.
 
     Words double as truncated residues: a word of length N denotes its value
@@ -48,8 +91,14 @@ class Word:
     the base, a residue mod p, a reversal of a valid word).
     """
 
+    __slots__ = ("base", "digits")
     base: int
     digits: tuple[int, ...]
+
+    def __init__(self, base: int, digits: tuple[int, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", tuple(digits))
+        self.__post_init__()
 
     @classmethod
     def _of(cls, base: int, digits: tuple[int, ...]) -> "Word":
@@ -60,7 +109,6 @@ class Word:
         return w
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
         if self.digits and (min(self.digits) < 0 or max(self.digits) >= self.base):
@@ -114,8 +162,7 @@ class Word:
         return cls(base, tuple(int(part) for part in text.split(",")))
 
 
-@dataclass(frozen=True)
-class PeriodicDigits:
+class PeriodicDigits(_Record):
     """An eventually periodic digit stream: preperiod, then period repeated forever.
 
     Construction canonicalizes: the period is made primitive (never a power of
@@ -124,15 +171,22 @@ class PeriodicDigits:
     two streams are equal iff they agree digit by digit.
     """
 
+    __slots__ = ("base", "preperiod", "period")
     base: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
+    def __init__(self, base: int, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "preperiod", tuple(preperiod))
+        object.__setattr__(self, "period", tuple(period))
+        self.__post_init__()
+
     def __post_init__(self):
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
-        pre = tuple(self.preperiod)
-        per = tuple(self.period)
+        pre = self.preperiod
+        per = self.period
         if not per:
             raise ValueError("period must be non-empty")
         digits = pre + per

@@ -8,10 +8,9 @@ rationals with denominator coprime to p, where the digit stream is eventually
 periodic precisely when the orbit falls into a cycle.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PeriodicDigits, Word
+from .arith import PeriodicDigits, Word, _Record
 from .graphs import Permutation, check_isomorphism, debruijn_graph, modular_graph
 from .limits import check_size
 from .maps import BranchMap
@@ -94,8 +93,7 @@ def phi_inverse_truncated(f: BranchMap, target: Word) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class PhiExactResult:
+class PhiExactResult(_Record):
     """Exact digit-map value of a rational input.
 
     digits is the full eventually periodic digit stream of the orbit residues
@@ -103,9 +101,15 @@ class PhiExactResult:
     spent before the orbit revisited a state.
     """
 
+    __slots__ = ("digits", "value", "steps_used")
     digits: PeriodicDigits
     value: Fraction
     steps_used: int
+
+    def __init__(self, digits: PeriodicDigits, value: Fraction, steps_used: int):
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "steps_used", steps_used)
 
 
 def phi_exact(f: BranchMap, r: int | Fraction, max_steps: int = 10000) -> PhiExactResult | None:

@@ -12,28 +12,35 @@ exactly the odd divisors of 2**k - 3**h coprime to 3.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Word
+from .arith import Word, _Record
 from .limits import check_size
 from .maps import BranchMap, ScaledOrbit, an_plus_b_map, collatz_map
 from .words import _duval, is_primitive
 
 
-@dataclass(frozen=True)
-class RationalCycle:
+class RationalCycle(_Record):
     """A rational cycle together with its scaled integer form.
 
     elements[0] traverses word; every element has the same reduced
     denominator b; integer_cycle is b * elements, elementwise.
     """
 
+    __slots__ = ("word", "elements", "b", "integer_cycle")
     word: Word
     elements: tuple[Fraction, ...]
     b: int
     integer_cycle: tuple[int, ...]
+
+    def __init__(
+        self, word: Word, elements: tuple[Fraction, ...], b: int, integer_cycle: tuple[int, ...]
+    ):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "integer_cycle", integer_cycle)
 
     def element_set(self) -> frozenset[Fraction]:
         return frozenset(self.elements)
@@ -179,16 +186,20 @@ def cycles_with_denominator(b: int, max_len: int) -> list[RationalCycle]:
     return [_census_cycle(w, c) for w, c in _census(max_len) if c == b]
 
 
-@dataclass(frozen=True)
-class ClassifiedOrbit:
+class ClassifiedOrbit(_Record):
     """Outcome of bounded forward iteration that reached a cycle.
 
     The cycle is anchored at its least element; preperiod is the number of
     steps before that anchor first appears in the orbit.
     """
 
+    __slots__ = ("cycle", "preperiod")
     cycle: RationalCycle
     preperiod: int
+
+    def __init__(self, cycle: RationalCycle, preperiod: int):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "preperiod", preperiod)
 
 
 def classify_orbit(

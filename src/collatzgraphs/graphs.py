@@ -19,9 +19,9 @@ import json
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Set
-from dataclasses import dataclass
 from math import lcm
 
+from .arith import _Record
 from .limits import check_size
 from .maps import BranchMap
 
@@ -151,14 +151,17 @@ def _unlabeled(size: int) -> array:
     return array("q", [NO_LABEL]) * size
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A bijection on {0..size-1}, stored as its image tuple."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", tuple(images))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError("images do not form a bijection on 0..size-1")
 

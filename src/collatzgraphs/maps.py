@@ -16,12 +16,17 @@ i = n * q**-1 mod p. BranchMap.scaled_orbit iterates that integer map.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import Word, residue
+from .arith import Word, _Record, residue
+from .limits import check_size
+
+# scaled_orbit charges its stored states to the size budget once per this many
+# steps: often enough that a divergent orbit is stopped soon after it passes
+# the budget, rarely enough that the charge costs nothing per step
+_CHARGE_STEPS = 4096
 
 
 class ScaledOrbit(NamedTuple):
@@ -38,15 +43,19 @@ class ScaledOrbit(NamedTuple):
     start: int
 
 
-@dataclass(frozen=True)
-class BranchMap:
+class BranchMap(_Record):
     """A p-branch affine map; branches[i] = (a_i, b_i) applies on n = i (mod p)."""
 
+    __slots__ = ("p", "branches")
     p: int
     branches: tuple[tuple[int, int], ...]
 
+    def __init__(self, p: int, branches: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "branches", tuple(tuple(br) for br in branches))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(tuple(br) for br in self.branches))
         if self.p < 2:
             raise ValueError(f"p must be at least 2, got {self.p}")
         if len(self.branches) != self.p:
@@ -90,6 +99,10 @@ class BranchMap:
         A repeat found after mu + lam map steps (preperiod mu, cycle length
         lam) needs max_steps >= mu + lam; with a smaller budget the result is
         None (undetermined). Raises ValueError unless gcd(q, p) = 1.
+
+        Every _CHARGE_STEPS steps the stored states are charged to the size
+        budget as taken * (64-bit words of the current state), so a divergent
+        orbit raises ResourceLimitError instead of filling memory.
         """
         if max_steps < 0:
             raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
@@ -107,9 +120,13 @@ class BranchMap:
         digits: list[int] = []
         append = digits.append
         taken = 0
+        limit = min(max_steps, _CHARGE_STEPS)
         while n not in seen:
-            if taken >= max_steps:
-                return None
+            if taken >= limit:
+                if taken >= max_steps:
+                    return None
+                check_size("orbit state machine words", taken * -(-n.bit_length() // 64))
+                limit = min(max_steps, taken + _CHARGE_STEPS)
             i = n * q_inv % p
             seen[n] = taken
             taken += 1

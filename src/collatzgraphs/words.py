@@ -155,7 +155,7 @@ def is_debruijn_sequence(s: Word, p: int, k: int) -> bool:
     if k >= len(s).bit_length():
         return False
     n = p**k
-    if len(s) != n or any(d >= p for d in s.digits):
+    if len(s) != n or max(s.digits) >= p:
         return False
     # window i read as a base-p number, first digit most significant, rolled
     # along the cyclic sequence: w -> (w*p + next digit) mod p**k

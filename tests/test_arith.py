@@ -10,12 +10,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collatzgraphs import (
+    BranchMap,
+    ClassifiedOrbit,
     PeriodicDigits,
+    Permutation,
+    PhiExactResult,
+    RationalCycle,
     Word,
+    classify_orbit,
+    collatz_map,
     fkm_sequence,
     lyndon_words,
     padic_digits,
     periodic_expansion,
+    phi_exact,
     residue,
 )
 
@@ -117,6 +125,46 @@ def test_word_pickle_and_copy_round_trip(protocol):
             assert hash(twin) == hash(w)
             assert type(twin.digits) is tuple
             assert str(twin) == str(w)
+
+
+# one instance of each record type, with its fields in constructor order
+RECORDS = {
+    Word: (Word(3, (2, 0, 1)), ("base", "digits")),
+    PeriodicDigits: (PeriodicDigits(2, (1,), (1, 0)), ("base", "preperiod", "period")),
+    BranchMap: (collatz_map(), ("p", "branches")),
+    Permutation: (Permutation((2, 0, 1)), ("images",)),
+    PhiExactResult: (phi_exact(collatz_map(), Fraction(1, 5)), ("digits", "value", "steps_used")),
+    RationalCycle: (
+        classify_orbit(collatz_map(), 7).cycle, ("word", "elements", "b", "integer_cycle")
+    ),
+    ClassifiedOrbit: (classify_orbit(collatz_map(), 7), ("cycle", "preperiod")),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDS, ids=lambda kind: kind.__name__)
+def test_record_contract(kind):
+    record, fields = RECORDS[kind]
+    values = tuple(getattr(record, name) for name in fields)
+    assert type(record) is kind and not hasattr(record, "__dict__")
+    for name in (*fields, "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    twins = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+    for twin in (*twins, copy.copy(record), copy.deepcopy(record), kind(*values)):
+        assert type(twin) is kind
+        assert twin == record and not twin != record
+        assert hash(twin) == hash(record)
+    assert record != values and values != record
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(record) == f"{kind.__name__}({shown})"
+
+
+def test_unpickling_runs_the_validating_constructor():
+    with pytest.raises(ValueError, match="digits out of range"):
+        pickle.loads(pickle.dumps(Word._of(2, (5,))))
 
 
 @given(digit_words())

@@ -388,3 +388,19 @@ def test_long_cycle_word_is_charged_for_its_big_integers(capsys, monkeypatch):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert "machine words" in err and "COLLATZGRAPHS_SIZE_LIMIT" in err
+
+
+def test_divergent_orbit_is_charged_for_its_states(capsys, monkeypatch):
+    # 5n+1 from 7 diverges: the stored states pass the default budget in
+    # machine words long before a million steps
+    monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "cycles", "classify",
+        "--map", "an+b", "--a", "5", "--b", "1",
+        "--start", "7", "--max-steps", "1000000",
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "orbit state machine words" in err and "COLLATZGRAPHS_SIZE_LIMIT" in err

@@ -36,6 +36,7 @@ from collatzgraphs import (
     phi_exact,
     phi_truncated,
     residue,
+    shift_map,
     word_cycle,
 )
 
@@ -234,6 +235,21 @@ def test_periodic_expansion_budget_is_the_step_bound(monkeypatch):
     monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", str(bound - 1))
     with pytest.raises(ResourceLimitError, match=f"orbit states.*budget of {bound - 1} items"):
         periodic_expansion(r, 2)
+
+
+def test_scaled_orbit_charges_its_stored_states(monkeypatch):
+    # 5n+1 from 7 diverges, its states growing by about 0.16 bits per step:
+    # at step 4096 the states so far are charged as 4096 * 10 machine words
+    monkeypatch.setenv("COLLATZGRAPHS_SIZE_LIMIT", "20000")
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="orbit state machine words.*20000 items"):
+        classify_orbit(an_plus_b_map(5, 1), 7, 10**6)
+    assert time.perf_counter() - start < 1
+    # 1/9901 under the shift map: a 9900-step cycle of one-word states is
+    # charged at steps 4096 and 8192 and stays under the same budget
+    orbit = classify_orbit(shift_map(), Fraction(1, 9901), 10**6)
+    assert len(orbit.cycle.elements) == 9900
+    assert classify_orbit(collatz_map(), 27, 10**6).cycle.integer_cycle == (1, 2)
 
 
 def oracle_padic_digits(r, p, n):

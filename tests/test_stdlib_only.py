@@ -1,7 +1,11 @@
 """The runtime stays stdlib-only: every absolute import in the package names
-a standard-library module (tests may use hypothesis, numpy and the like)."""
+a standard-library module (tests may use hypothesis, numpy and the like).
+Starting the CLI also stays cheap: importing it loads neither dataclasses nor
+inspect, which nothing the package computes needs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +36,15 @@ def test_imports_are_stdlib(path):
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_cli_start_up_skips_dataclasses_and_inspect():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = (
+        "import collatzgraphs.cli, sys;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
