@@ -23,11 +23,11 @@ def residue(x: int | Fraction, m: int) -> int:
     For a rational, the residue is numerator * denominator**-1 mod m, which
     requires the denominator to be a unit mod m (ValueError otherwise).
     """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
     if isinstance(x, int):
         return x % m
     x = Fraction(x)
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
     try:
         return x.numerator * pow(x.denominator, -1, m) % m
     except ValueError:

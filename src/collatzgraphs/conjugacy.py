@@ -13,7 +13,7 @@ from fractions import Fraction
 from .arith import PeriodicDigits, Word, _Record
 from .graphs import Permutation, check_isomorphism, debruijn_graph, modular_graph
 from .limits import check_size
-from .maps import BranchMap
+from .maps import BranchMap, _compose
 
 
 def conjugacy_permutation(f: BranchMap, k: int) -> Permutation:
@@ -68,26 +68,20 @@ def phi_truncated(f: BranchMap, w: Word) -> Word:
 def phi_inverse_truncated(f: BranchMap, target: Word) -> Word:
     """The unique word w of the same length with phi_truncated(f, w) == target.
 
-    Built one digit at a time: digits below j of the image never depend on
-    input digits at or above j. With y = f^j(v) for the digits v pinned so
-    far and A the product of the multipliers of branches target[:j], adding
-    c * p**j to v moves f^j by exactly c * A, so the next digit solves
-    y + c * A = target[j] (mod p); A is a unit mod p because every
-    multiplier is. One map step per digit; the result is checked against
-    phi_truncated, and a mismatch (f is not admissible) is an internal error.
+    With (A, B, p**k) the composition of the branches target[0..k-1], the
+    preimage is the one class x mod p**k with A*x + B = 0 (mod p**k). Taking
+    branch i at step j means a_i * f^j(x) + b_i = 0 (mod p), and i is the only
+    residue where that holds because a_i is a unit mod p. So if x takes the
+    first j branches, f^j(x) = (A_j*x + B_j) / p**j, and x also takes branch
+    t_j = (a, b) exactly when a * (A_j*x + B_j) + b * p**j = 0 (mod p**(j+1)),
+    which is the congruence of the first j+1 branches. A is a unit mod p**k, so the
+    class exists and is unique. The result is checked against phi_truncated;
+    a mismatch (f is not admissible) is an internal error.
     """
     if target.base != f.p:
         raise ValueError(f"word base {target.base} does not match p={f.p}")
-    p = f.p
-    digits: list[int] = []
-    y = 0
-    mult = 1
-    for t in target:
-        c = (t - y) * pow(mult, -1, p) % p
-        digits.append(c)
-        y = f.apply(y + c * mult)
-        mult *= f.branches[t][0]
-    w = Word(p, tuple(digits))
+    a, b, power = _compose(f, target.digits)
+    w = Word.from_int(-b * pow(a, -1, power) % power, f.p, len(target))
     if phi_truncated(f, w) != target:
         raise RuntimeError("preimage does not map onto the target; map branches are not De Bruijn")
     return w

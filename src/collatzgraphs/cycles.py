@@ -17,7 +17,7 @@ from math import gcd
 
 from .arith import Word, _Record
 from .limits import check_size
-from .maps import BranchMap, ScaledOrbit, an_plus_b_map, collatz_map
+from .maps import BranchMap, ScaledOrbit, _compose, an_plus_b_map, collatz_map
 from .words import _duval, is_primitive
 
 
@@ -54,17 +54,6 @@ class RationalCycle(_Record):
         }
 
 
-def _compose(f: BranchMap, digits) -> tuple[int, int, int]:
-    """(A, B, p**k) with f^k(x) = (A*x + B) / p**k for every x whose orbit
-    takes the branches digits[0], ..., digits[k-1] in turn."""
-    a_total, b_total, power = 1, 0, 1
-    for d in digits:
-        a, b = f.branches[d]
-        a_total, b_total = a * a_total, a * b_total + b * power
-        power *= f.p
-    return a_total, b_total, power
-
-
 def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
     """The scaled integer orbit of the rational whose f-orbit traverses w.
 
@@ -75,19 +64,22 @@ def _word_orbit(f: BranchMap, w: Word) -> ScaledOrbit:
     orbit is a pure cycle spelling w (repeated, when w is a power of a shorter
     word); a mismatch is an internal error, not bad input.
 
-    The k stored states are fractions of B and p**k - A, so each is charged
-    as the 64-bit words of the larger of the two before any state is stored.
+    The k stored states are fractions of B and p**k - A. With M the largest
+    of p and every |a_i|, |b_i|, |B| <= k * M**k and |p**k - A| <= 2 * M**k,
+    so each state is charged as the 64-bit words of that bound before the
+    branches are composed.
     """
     if w.base != f.p:
         raise ValueError(f"word base {w.base} does not match p={f.p}")
     k = len(w)
     if k < 1:
         raise ValueError("cycle word must be non-empty")
+    m = max(f.p, *(abs(v) for branch in f.branches for v in branch))
+    bits = k * (m - 1).bit_length() + (2 * k).bit_length()
+    check_size("cycle state machine words", k * -(-bits // 64))
     a_total, b_total, power = _compose(f, w.digits)
     if a_total == power:
         raise ValueError(f"word {w} is degenerate: multiplier product equals {power}")
-    bits = max(b_total.bit_length(), (power - a_total).bit_length())
-    check_size("cycle state machine words", k * -(-bits // 64))
     x = Fraction(b_total, power - a_total)
     orbit = f.scaled_orbit(x, k)
     if orbit is None or orbit.start != 0 or orbit.digits * (k // len(orbit.digits)) != list(w):

@@ -136,9 +136,6 @@ class Digraph:
     def out_degrees(self) -> list[int]:
         return _count(self.sources, self.n)
 
-    def in_degrees(self) -> list[int]:
-        return _count(self.targets, self.n)
-
 
 def _count(column: array, n: int) -> list[int]:
     counts = [0] * n
@@ -212,25 +209,6 @@ class Permutation(_Record):
             "cycles": [list(c) for c in self.cycles()],
             "order": self.order(),
         }
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(size)))
-
-    @classmethod
-    def from_cycles(cls, size: int, cycles) -> "Permutation":
-        images = list(range(size))
-        touched = set()
-        for cyc in cycles:
-            for v in cyc:
-                if not 0 <= v < size:
-                    raise ValueError(f"cycle element {v} outside 0..{size - 1}")
-                if v in touched:
-                    raise ValueError(f"cycles are not disjoint at {v}")
-                touched.add(v)
-            for i, v in enumerate(cyc):
-                images[v] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
 
 
 def modular_graph(f: BranchMap, m: int) -> Digraph:

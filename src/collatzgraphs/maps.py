@@ -136,6 +136,17 @@ class BranchMap(_Record):
         return ScaledOrbit(q, list(seen), digits, seen[n])
 
 
+def _compose(f: BranchMap, digits) -> tuple[int, int, int]:
+    """(A, B, p**k) with f^k(x) = (A*x + B) / p**k for every x whose orbit
+    takes the branches digits[0], ..., digits[k-1] in turn."""
+    a_total, b_total, power = 1, 0, 1
+    for d in digits:
+        a, b = f.branches[d]
+        a_total, b_total = a * a_total, a * b_total + b * power
+        power *= f.p
+    return a_total, b_total, power
+
+
 def collatz_map() -> BranchMap:
     """n/2 on evens, (3n+1)/2 on odds."""
     return BranchMap(2, ((1, 0), (3, 1)))

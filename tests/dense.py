@@ -5,9 +5,13 @@ never builds a whole matrix. These plain n x n helpers are what it used to
 multiply; the tests keep them to check the row-by-row scan against whole
 powers, and check them in turn against a naive product and against numpy.
 They charge the same size budget the library's builders do.
+
+The permutation and degree helpers at the end were library methods that only
+tests called; they are kept here unchanged, as functions.
 """
 
-from collatzgraphs import Digraph
+from collatzgraphs import Digraph, Permutation
+from collatzgraphs.graphs import _count
 from collatzgraphs.limits import check_size
 
 Matrix = list[list[int]]
@@ -56,3 +60,26 @@ def matrix_power(m: Matrix, e: int) -> Matrix:
         if e:
             base = _matmul(base, base)
     return result
+
+
+def in_degrees(g: Digraph) -> list[int]:
+    return _count(g.targets, g.n)
+
+
+def identity(size: int) -> Permutation:
+    return Permutation(tuple(range(size)))
+
+
+def from_cycles(size: int, cycles) -> Permutation:
+    images = list(range(size))
+    touched = set()
+    for cyc in cycles:
+        for v in cyc:
+            if not 0 <= v < size:
+                raise ValueError(f"cycle element {v} outside 0..{size - 1}")
+            if v in touched:
+                raise ValueError(f"cycles are not disjoint at {v}")
+            touched.add(v)
+        for i, v in enumerate(cyc):
+            images[v] = cyc[(i + 1) % len(cyc)]
+    return Permutation(tuple(images))

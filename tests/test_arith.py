@@ -186,6 +186,10 @@ def test_mod_inverse():
         residue(Fraction(1, 2), 8)
     with pytest.raises(ValueError, match="modulus must be positive"):
         residue(Fraction(1, 3), 0)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        residue(5, 0)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        residue(5, -3)
 
 
 def test_residue_of_fractions():

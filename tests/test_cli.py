@@ -379,7 +379,7 @@ def test_graph_vertex_count_is_charged(tmp_path, capsys, monkeypatch):
 
 
 def test_long_cycle_word_is_charged_for_its_big_integers(capsys, monkeypatch):
-    # 50000 states of about 50000 bits each: refused after the composition
+    # 50000 states of about 50000 bits each: refused before the composition
     monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
     rng = random.Random(50000)
     word = "".join(rng.choice("01") for _ in range(50000))

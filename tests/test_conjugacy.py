@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatzgraphs import (
-    Permutation,
     Word,
     an_plus_b_map,
     collatz_map,
@@ -25,6 +24,7 @@ from collatzgraphs import (
 )
 
 from conftest import branch_maps, digit_words
+from dense import identity
 
 
 def oracle_images(f, k):
@@ -74,12 +74,12 @@ def test_digit_reversal_composite_of_original_map():
 def test_shift_map_conjugacy_is_identity():
     s = shift_map()
     for k in (1, 3, 6):
-        assert conjugacy_permutation(s, k) == Permutation.identity(2**k)
+        assert conjugacy_permutation(s, k) == identity(2**k)
 
 
 def test_digit_reversal_is_an_involution():
     rev = digit_reversal_permutation(2, 5)
-    assert rev.compose(rev) == Permutation.identity(32)
+    assert rev.compose(rev) == identity(32)
     assert digit_reversal_permutation(3, 2).images == (0, 3, 6, 1, 4, 7, 2, 5, 8)
 
 
@@ -167,8 +167,45 @@ def test_phi_inverse_matches_candidate_search(f, data):
     assert phi_inverse_truncated(f, w) == oracle_phi_inverse_truncated(f, w)
 
 
+def oracle_running_inverse(f, target):
+    """The loop phi_inverse_truncated replaced: digits below j of the image
+    never depend on input digits at or above j. With y = f^j(v) for the digits
+    v pinned so far and A the product of the multipliers of branches
+    target[:j], adding c * p**j to v moves f^j by exactly c * A, so the next
+    digit solves y + c * A = target[j] (mod p). One map step per digit."""
+    p = f.p
+    digits = []
+    y = 0
+    mult = 1
+    for t in target:
+        c = (t - y) * pow(mult, -1, p) % p
+        digits.append(c)
+        y = f.apply(y + c * mult)
+        mult *= f.branches[t][0]
+    return Word(p, tuple(digits))
+
+
+@settings(max_examples=80)
+@given(branch_maps(), st.data())
+def test_phi_inverse_matches_running_loop(f, data):
+    w = data.draw(digit_words(base=f.p, max_len=40))
+    assert phi_inverse_truncated(f, w) == oracle_running_inverse(f, w)
+
+
+@pytest.mark.parametrize(
+    "f, max_k",
+    [(collatz_map(), 10), (an_plus_b_map(5, 1), 10), (original_collatz_map(), 6)],
+    ids=["collatz", "5n+1", "collatz-original"],
+)
+def test_phi_inverse_is_the_inverse_permutation(f, max_k):
+    for k in range(1, max_k + 1):
+        inverse = conjugacy_permutation(f, k).inverse()
+        for m in range(f.p**k):
+            assert phi_inverse_truncated(f, Word.from_int(m, f.p, k)).value() == inverse(m)
+
+
 def test_phi_inverse_of_a_long_word_is_fast():
-    # one map step per digit; the candidate search took 2.6 s at 1600 digits
+    # one branch composition; the candidate search took 2.6 s at 1600 digits
     rng = random.Random(3000)
     t = collatz_map()
     w = Word(2, tuple(rng.randrange(2) for _ in range(3000)))

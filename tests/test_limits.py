@@ -54,8 +54,9 @@ BUILDS = {
     "fkm_sequence": (lambda: fkm_sequence(2, 4), 2**4),
     "necklace_count": (lambda: necklace_count(3, 6), 6),
     "collatz_cycles": (lambda: collatz_cycles(5), 2**5),
-    # 70 states, each charged as the 2 words of a 111-bit 2**70 - 3**70
-    "cycle_from_word": (lambda: cycle_from_word(collatz_map(), Word(2, (1,) * 70)), 70 * 2),
+    # 70 states, each charged as the 3 words of the 148-bit bound
+    # 70 * (3 - 1).bit_length() + (2 * 70).bit_length() with M = 3
+    "cycle_from_word": (lambda: cycle_from_word(collatz_map(), Word(2, (1,) * 70)), 70 * 3),
     "uniform_power_violation": (lambda: uniform_power_violation(collatz_map(), 3, 4), 8 * 8),
     "periodic_expansion": (lambda: periodic_expansion(Fraction(13, 7), 2), 4 + 7 + 2),
 }
@@ -83,6 +84,18 @@ def test_huge_power_is_refused_on_its_exponent(monkeypatch):
         "test items would exceed the size budget of 4194304 items"
         " (set COLLATZGRAPHS_SIZE_LIMIT to raise it)"
     )
+
+
+def test_long_cycle_word_is_refused_before_it_is_composed(monkeypatch):
+    # charged from k and the map alone: 10000 digits are 3.13M words, under
+    # the default budget, and 200000 are refused without composing
+    monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
+    cycle_from_word(collatz_map(), Word(2, (1, 0) * 5000))
+    w = Word(2, (1, 0) * 100000)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="cycle state machine words"):
+        cycle_from_word(collatz_map(), w)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_check_size_counts_factor_times_power(monkeypatch):
