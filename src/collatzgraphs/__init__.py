@@ -11,7 +11,6 @@ from .arith import (
     PeriodicDigits,
     Word,
     padic_digits,
-    periodic_expansion,
     residue,
 )
 from .conjugacy import (
@@ -55,6 +54,7 @@ from .maps import (
     map_from_json,
     map_to_json,
     original_collatz_map,
+    periodic_expansion,
     shift_map,
     standard_map,
 )

@@ -14,8 +14,6 @@ base 2 the word "10110" denotes 1 + 4 + 8 = 13.
 from fractions import Fraction
 from math import gcd
 
-from .limits import check_size
-
 
 def residue(x: int | Fraction, m: int) -> int:
     """Canonical residue of x in {0..m-1}.
@@ -88,7 +86,7 @@ class Word(_Record):
     The public constructor validates the base and every digit. Word._of
     skips that check: it is only for digits the library computed itself, as
     a tuple of ints in range(base) with base >= 2 (Duval's loop, a divmod by
-    the base, a residue mod p, a reversal of a valid word).
+    the base, a residue mod p, the digits of a valid word or stream).
     """
 
     __slots__ = ("base", "digits")
@@ -206,24 +204,26 @@ class PeriodicDigits(_Record):
         object.__setattr__(self, "period", per)
 
     def __str__(self) -> str:
-        pre = Word(self.base, self.preperiod)
-        per = Word(self.base, self.period)
+        pre = Word._of(self.base, self.preperiod)
+        per = Word._of(self.base, self.period)
         return f"{pre}({per})"
 
     def prefix(self, n: int) -> Word:
         """The first n digits of the stream, unrolled."""
+        if n < 0:
+            raise ValueError(f"length must be nonnegative, got {n}")
         digits = list(self.preperiod)
         i = 0
         while len(digits) < n:
             digits.append(self.period[i % len(self.period)])
             i += 1
-        return Word(self.base, tuple(digits[:n]))
+        return Word._of(self.base, tuple(digits[:n]))
 
     def to_rational(self) -> Fraction:
         """The p-adic value of the stream: A + p**|pre| * B / (1 - p**|per|)."""
         p = self.base
-        a = Word(p, self.preperiod).value()
-        b = Word(p, self.period).value()
+        a = Word._of(p, self.preperiod).value()
+        b = Word._of(p, self.period).value()
         return a + Fraction(p ** len(self.preperiod) * b, 1 - p ** len(self.period))
 
 
@@ -243,29 +243,3 @@ def padic_digits(r: int | Fraction, p: int, n: int) -> Word:
         raise ValueError(f"denominator of {r} is not coprime to {p}")
     return Word.from_int(residue(r, p**n), p, n)
 
-
-def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
-    """The full (eventually periodic) base-p expansion of a rational.
-
-    The digits are the orbit residues of r under the base-p shift map
-    x -> (x - d) / p, d = x mod p (branches (1, -d)), iterated on the
-    numerator n of r = n/q by BranchMap.scaled_orbit. That map drives n into
-    [-q, 0] within |n|.bit_length() + 1 steps and keeps it there, so the
-    orbit repeats within |n|.bit_length() + q + 2 steps; the digits emitted
-    between the two visits form the period. The orbit keeps one state per
-    step, so that bound is checked against the size budget first.
-    """
-    # maps builds on this module
-    from .maps import BranchMap
-
-    if p < 2:
-        raise ValueError(f"base must be at least 2, got {p}")
-    r = Fraction(r)
-    if gcd(r.denominator, p) != 1:
-        raise ValueError(f"denominator of {r} is not coprime to {p}")
-    bound = abs(r.numerator).bit_length() + r.denominator + 2
-    check_size("orbit states of a periodic expansion", bound)
-    shift = BranchMap(p, tuple((1, -d) for d in range(p)))
-    orbit = shift.scaled_orbit(r, bound)
-    start = orbit.start
-    return PeriodicDigits(p, tuple(orbit.digits[:start]), tuple(orbit.digits[start:]))

@@ -17,7 +17,7 @@ from math import gcd
 
 from .arith import Word, _Record
 from .limits import check_size
-from .maps import BranchMap, ScaledOrbit, _compose, an_plus_b_map, collatz_map
+from .maps import BranchMap, ScaledOrbit, _compose, collatz_map
 from .words import _duval, is_primitive
 
 
@@ -110,29 +110,28 @@ def word_cycle(f: BranchMap, w: Word) -> RationalCycle:
     return _rational_cycle(orbit.states * (len(w) // len(orbit.states)), orbit.q, w)
 
 
+_COLLATZ = collatz_map()
+
+
 def collatz_cycle(w: Word) -> RationalCycle:
     """Cycle data of a primitive binary word under the 3n+1 map.
 
     Rotating w rotates the cycle, so any rotation of a Lyndon word is
     accepted; the cycle is anchored at the element whose orbit spells w
     itself.  The common denominator b is automatically odd and coprime to 3
-    (it divides 2**k - 3**h), and the scaled elements are re-verified to be a
-    genuine integer cycle of the 3n+b map.
+    (it divides 2**k - 3**h).  One walk proves the scaled elements a genuine
+    3n+b cycle: word_cycle iterates x = n/q as n -> n/2 or (3n+q)/2, the 3n+q
+    map for odd q, and checks that the orbit closes spelling w; q = b, since
+    every element has the reduced denominator of x.
     """
     if w.base != 2:
         raise ValueError(f"expected a binary word, got base {w.base}")
     if not is_primitive(w):
         raise ValueError(f"{w} is a repeated shorter word")
-    cycle = word_cycle(collatz_map(), w)
+    cycle = word_cycle(_COLLATZ, w)
     if gcd(cycle.b, 6) != 1:
         raise RuntimeError(f"denominator {cycle.b} is not coprime to 6")
-    scaled = an_plus_b_map(3, cycle.b).scaled_orbit(cycle.integer_cycle[0], len(w))
-    if scaled is None or scaled.start != 0 or tuple(scaled.states) != cycle.integer_cycle:
-        raise RuntimeError(f"scaled cycle of {w} is not a closed 3n+{cycle.b} orbit")
     return cycle
-
-
-_COLLATZ = collatz_map()
 
 
 def _denominator(w: tuple[int, ...]) -> int:
@@ -156,7 +155,7 @@ def _census(max_len: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 def _census_cycle(w: tuple[int, ...], b: int) -> RationalCycle:
     """collatz_cycle of w, whose denominator the census computed as b."""
-    cycle = collatz_cycle(Word(2, w))
+    cycle = collatz_cycle(Word._of(2, w))
     if cycle.b != b:
         raise RuntimeError(f"cycle of {cycle.word} has denominator {cycle.b}, not {b}")
     return cycle
@@ -212,7 +211,7 @@ def classify_orbit(
     looped = orbit.states[start:]
     shift = looped.index(min(looped))
     cycle_digits = orbit.digits[start:]
-    word = Word(f.p, tuple(cycle_digits[shift:] + cycle_digits[:shift]))
+    word = Word._of(f.p, tuple(cycle_digits[shift:] + cycle_digits[:shift]))
     return ClassifiedOrbit(
         _rational_cycle(looped[shift:] + looped[:shift], orbit.q, word), start + shift
     )

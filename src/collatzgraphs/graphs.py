@@ -15,7 +15,6 @@ hand-made or parsed graph) against the size budget of limits.py before
 building anything, so a typo cannot ask for a 2**40-edge graph.
 """
 
-import json
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Set
@@ -23,7 +22,7 @@ from math import lcm
 
 from .arith import _Record
 from .limits import check_size
-from .maps import BranchMap
+from .maps import BranchMap, _wire_form
 
 Edge = tuple[int, int, int | None]
 NO_LABEL = -1
@@ -338,24 +337,15 @@ def graph_to_json(g: Digraph) -> str:
 
 def graph_from_json(text: str) -> Digraph:
     """Parse the wire form back into a graph, re-validating."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid graph JSON: {exc}") from None
-    if not isinstance(data, dict) or set(data) != {"m", "edges"}:
-        raise ValueError('graph JSON must be an object with keys "m" and "edges"')
-    m = data["m"]
-    raw_edges = data["edges"]
-    if not isinstance(m, int) or not isinstance(raw_edges, list):
-        raise ValueError("graph JSON: m must be an integer and edges a list")
+    m, raw_edges = _wire_form(text, "graph", "m", "edges")
     check_size("graph JSON edges", len(raw_edges))
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 3):
             raise ValueError(f"graph JSON: edge {item!r} is not a [source, target, label] triple")
         s, t, label = item
-        if not isinstance(s, int) or not isinstance(t, int):
+        if type(s) is not int or type(t) is not int:
             raise ValueError(f"graph JSON: edge {item!r} has non-integer endpoints")
-        if label is not None and not isinstance(label, int):
+        if label is not None and type(label) is not int:
             raise ValueError(f"graph JSON: edge {item!r} has a non-integer label")
     g = Digraph(m, raw_edges)
     if len(g.sources) != len(raw_edges):

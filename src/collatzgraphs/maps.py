@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .arith import Word, _Record, residue
+from .arith import PeriodicDigits, Word, _Record, residue
 from .limits import check_size
 
 # scaled_orbit charges its stored states to the size budget once per this many
@@ -136,6 +136,30 @@ class BranchMap(_Record):
         return ScaledOrbit(q, list(seen), digits, seen[n])
 
 
+def periodic_expansion(r: int | Fraction, p: int) -> PeriodicDigits:
+    """The full (eventually periodic) base-p expansion of a rational.
+
+    The digits are the orbit residues of r under the base-p shift map
+    x -> (x - d) / p, d = x mod p (branches (1, -d)), iterated on the
+    numerator n of r = n/q by BranchMap.scaled_orbit. That map drives n into
+    [-q, 0] within |n|.bit_length() + 1 steps and keeps it there, so the
+    orbit repeats within |n|.bit_length() + q + 2 steps; the digits emitted
+    between the two visits form the period. The orbit keeps one state per
+    step, so that bound is checked against the size budget first.
+    """
+    if p < 2:
+        raise ValueError(f"base must be at least 2, got {p}")
+    r = Fraction(r)
+    if gcd(r.denominator, p) != 1:
+        raise ValueError(f"denominator of {r} is not coprime to {p}")
+    bound = abs(r.numerator).bit_length() + r.denominator + 2
+    check_size("orbit states of a periodic expansion", bound)
+    shift = BranchMap(p, tuple((1, -d) for d in range(p)))
+    orbit = shift.scaled_orbit(r, bound)
+    start = orbit.start
+    return PeriodicDigits(p, tuple(orbit.digits[:start]), tuple(orbit.digits[start:]))
+
+
 def _compose(f: BranchMap, digits) -> tuple[int, int, int]:
     """(A, B, p**k) with f^k(x) = (A*x + B) / p**k for every x whose orbit
     takes the branches digits[0], ..., digits[k-1] in turn."""
@@ -192,21 +216,27 @@ def map_to_json(f: BranchMap) -> str:
     return json.dumps({"p": f.p, "branches": [list(br) for br in f.branches]})
 
 
-def map_from_json(text: str) -> BranchMap:
-    """Parse the wire form, re-validating the admissibility conditions."""
+def _wire_form(text: str, kind: str, count: str, items: str) -> tuple[int, list]:
+    """Decode the wire form {count: integer, items: list}. Integer checks read
+    type(v) is int, so JSON true and false are refused, not read as 1 and 0."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid map JSON: {exc}") from None
-    if not isinstance(data, dict) or set(data) != {"p", "branches"}:
-        raise ValueError('map JSON must be an object with keys "p" and "branches"')
-    p = data["p"]
-    branches = data["branches"]
-    if not isinstance(p, int) or not isinstance(branches, list):
-        raise ValueError("map JSON: p must be an integer and branches a list")
+        raise ValueError(f"invalid {kind} JSON: {exc}") from None
+    if not isinstance(data, dict) or set(data) != {count, items}:
+        raise ValueError(f'{kind} JSON must be an object with keys "{count}" and "{items}"')
+    n, values = data[count], data[items]
+    if type(n) is not int or not isinstance(values, list):
+        raise ValueError(f"{kind} JSON: {count} must be an integer and {items} a list")
+    return n, values
+
+
+def map_from_json(text: str) -> BranchMap:
+    """Parse the wire form, re-validating the admissibility conditions."""
+    p, branches = _wire_form(text, "map", "p", "branches")
     pairs = []
     for br in branches:
-        if not (isinstance(br, list) and len(br) == 2 and all(isinstance(v, int) for v in br)):
+        if not (isinstance(br, list) and len(br) == 2 and all(type(v) is int for v in br)):
             raise ValueError(f"map JSON: branch {br!r} is not a pair of integers")
         pairs.append((br[0], br[1]))
     return BranchMap(p, tuple(pairs))

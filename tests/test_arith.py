@@ -235,6 +235,11 @@ def test_periodic_digits_prefix():
     assert s.prefix(5) == Word.from_str("01010", 2)
 
 
+def test_periodic_digits_prefix_refuses_negative_length():
+    with pytest.raises(ValueError, match="length must be nonnegative, got -2"):
+        PeriodicDigits(2, (1, 0, 1), (1, 0)).prefix(-2)
+
+
 def test_to_rational_geometric_oracle():
     # digits (1,0)* in base 2: sum 2^{2i} = 1/(1-4)
     assert PeriodicDigits(2, (), (1, 0)).to_rational() == Fraction(-1, 3)

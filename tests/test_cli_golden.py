@@ -1,10 +1,11 @@
 """Recorded CLI invocations, replayed byte for byte.
 
 tests/data/cli_golden.json lists one case per invocation: its argv, the id of
-an earlier case whose stdout it reads on stdin ("stdin_from"), and optionally
-a stand-in for one library call ("fake", a key of FAKES) for the verdicts and
-failures that no admissible map produces. Each case records the exit code,
-stdout and stderr, plus the file written when an argument is "{output}".
+an earlier case whose stdout it reads on stdin ("stdin_from") or the text
+itself ("stdin"), and optionally a stand-in for one library call ("fake", a
+key of FAKES) for the verdicts and failures that no admissible map produces.
+Each case records the exit code, stdout and stderr, plus the file written
+when an argument is "{output}".
 Every subcommand and every --format is covered.
 
 After an intended change of output, rewrite the records with
@@ -80,7 +81,7 @@ def test_cases_cover_every_subcommand_and_format():
 @pytest.mark.parametrize("case", CASES, ids=list(BY_ID))
 def test_replay_matches_record(case, tmp_path, monkeypatch):
     monkeypatch.delenv("COLLATZGRAPHS_SIZE_LIMIT", raising=False)
-    stdin = BY_ID[case["stdin_from"]]["stdout"] if "stdin_from" in case else ""
+    stdin = BY_ID[case["stdin_from"]]["stdout"] if "stdin_from" in case else case.get("stdin", "")
     got = replay(case, stdin, tmp_path)
     assert got == {key: case[key] for key in got}
 
@@ -89,7 +90,10 @@ def _write() -> None:
     recorded = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            stdin = recorded[case["stdin_from"]]["stdout"] if "stdin_from" in case else ""
+            stdin = (
+                recorded[case["stdin_from"]]["stdout"] if "stdin_from" in case
+                else case.get("stdin", "")
+            )
             case.update(replay(case, stdin, Path(tmp)))
             recorded[case["id"]] = case
     GOLDEN.write_text(json.dumps(CASES, indent=1) + "\n")

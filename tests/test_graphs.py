@@ -17,6 +17,7 @@ from collatzgraphs import (
     graph_to_dot,
     graph_to_json,
     line_graph,
+    map_from_json,
     modular_graph,
     restricted_graph,
     size_limit,
@@ -210,6 +211,28 @@ def test_graph_json_validation():
         graph_from_json("[]")
     with pytest.raises(ValueError):
         graph_from_json('{"m": 2, "edges": [[0, 1, 0], [0, 1, 0]]}')
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (graph_from_json, '{"m": true, "edges": [[0, 0, null]]}',
+         "graph JSON: m must be an integer and edges a list"),
+        (graph_from_json, '{"m": 2, "edges": [[true, 1, null]]}',
+         "graph JSON: edge [True, 1, None] has non-integer endpoints"),
+        (graph_from_json, '{"m": 2, "edges": [[0, 1, false]]}',
+         "graph JSON: edge [0, 1, False] has a non-integer label"),
+        (map_from_json, '{"p": true, "branches": [[1, 0], [3, 1]]}',
+         "map JSON: p must be an integer and branches a list"),
+        (map_from_json, '{"p": 2, "branches": [[true, false], [3, 1]]}',
+         "map JSON: branch [True, False] is not a pair of integers"),
+    ],
+    ids=["m", "endpoint", "label", "p", "coefficient"],
+)
+def test_wire_forms_refuse_json_booleans(parse, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 def test_graph_to_dot_golden():
